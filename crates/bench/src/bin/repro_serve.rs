@@ -45,8 +45,8 @@ fn summarize(snap: &EpochSnapshot) -> EpochSummary {
     EpochSummary {
         epoch: snap.epoch,
         triples: snap.graph.triple_count(),
-        groups: snap.index.group_count(),
-        isolated: snap.index.isolated_count(),
+        groups: snap.state.sets.groups.len(),
+        isolated: snap.state.sets.isolated.len(),
         updates_applied: snap.updates_applied,
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The router recovers each query's `(entity, attribute)` slot the
 //! same way the pipeline itself does — by running the seeded mock LLM
-//! over the *same* schema ([`kg_schema`]) the pipeline extracts with —
-//! and falls back to the query's declared slot when extraction fails.
+//! over the *same* schema instance the epoch's pipelines extract with
+//! (the snapshot's [`multirag_core::GraphState::schema`]) — and falls
+//! back to the query's declared slot when extraction fails.
 //! Slot → node resolution then goes through the cluster's ring.
 //!
 //! Serving modes:
@@ -22,7 +23,7 @@
 
 use crate::shard::Cluster;
 use multirag_core::{
-    kg_schema, reduce_shard_answers, AbstainReason, MergedVerdict, MklgpPipeline, PipelineAnswer,
+    reduce_shard_answers, AbstainReason, MergedVerdict, MklgpPipeline, PipelineAnswer,
 };
 use multirag_datasets::Query;
 use multirag_eval::parallel_map_with;
@@ -42,12 +43,13 @@ pub struct SlotRouter {
 }
 
 impl SlotRouter {
-    /// Builds a router bound to the cluster's snapshot (same schema,
-    /// same seed → same logic forms as the serving pipelines).
+    /// Builds a router bound to the cluster's snapshot (the epoch's
+    /// shared schema and seed → same logic forms as the serving
+    /// pipelines).
     pub fn new(cluster: &Cluster) -> Self {
         let snapshot = cluster.snapshot();
         Self {
-            llm: MockLlm::new(kg_schema(&snapshot.graph), snapshot.seed),
+            llm: MockLlm::new(snapshot.state.schema.clone(), snapshot.seed),
         }
     }
 

@@ -74,13 +74,13 @@ pub struct Cluster {
 /// sorted order.
 pub fn slot_universe(snapshot: &EpochSnapshot) -> BTreeSet<String> {
     let mut slots = BTreeSet::new();
-    for group in &snapshot.sets.groups {
+    for group in &snapshot.state.sets.groups {
         slots.insert(slot_key(
             snapshot.graph.entity_name(group.entity),
             snapshot.graph.relation_name(group.relation),
         ));
     }
-    for &tid in &snapshot.sets.isolated {
+    for &tid in &snapshot.state.sets.isolated {
         let triple = snapshot.graph.triple(tid);
         slots.insert(slot_key(
             snapshot.graph.entity_name(triple.subject),

@@ -26,7 +26,8 @@
 //! * [`memo`] — per-epoch memoization of MCC verdicts by canonical
 //!   subgraph hash (the serving subsystem's mid-level cache).
 //! * [`pipeline`] — MKLGP (Algorithm 2): logic form → extraction → MLG
-//!   → MCC → trustworthy answer.
+//!   → MCC → trustworthy answer; [`GraphState`] is the per-graph part a
+//!   pipeline binds to.
 //! * [`loopctl`] — closed-loop grounded generation: grade the drafted
 //!   answer against the kept context and escalate (widen → consult →
 //!   tighten) under a deadline-bounded budget.
@@ -52,5 +53,7 @@ pub use loopctl::{grade_supported, LadderStep, LoopConfig};
 pub use memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
 pub use merge::{reduce_shard_answers, MergedVerdict};
 pub use mlg::MultiSourceLineGraph;
-pub use pipeline::{kg_schema, AbstainReason, MccWorker, MklgpPipeline, PipelineAnswer};
+pub use pipeline::{
+    kg_schema, AbstainReason, GraphState, MccWorker, MklgpPipeline, PipelineAnswer,
+};
 pub use qa::{MultiHopOutcome, MultiRagQa};

@@ -17,10 +17,11 @@
 use crate::confidence::{self, GraphConfidence, KernelCounters, MccOutcome, NodeConfidence};
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
-use crate::homologous::HomologousGroup;
+use crate::homologous::{
+    match_homologous, match_homologous_tiered, HomologousGroup, HomologousSets,
+};
 use crate::loopctl::{grade_supported, LadderStep, LoopConfig};
 use crate::memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
-use crate::mlg::MultiSourceLineGraph;
 use multirag_datasets::Query;
 use multirag_faults::{ms_to_us, FaultPlan, RetryPolicy};
 use multirag_ingest::{fuse_sources_with, Claim, IngestMode, RawSource};
@@ -160,15 +161,19 @@ pub struct PipelineAnswer {
 #[derive(Clone)]
 pub struct MklgpPipeline<'g> {
     kg: &'g KnowledgeGraph,
-    mlg: Option<MultiSourceLineGraph>,
+    /// The MKA homologous sets, shared with the [`GraphState`] they
+    /// came from; `None` in the w/o-MKA ablation.
+    sets: Option<Arc<HomologousSets>>,
     llm: MockLlm,
     history: HistoryStore,
     config: MultiRagConfig,
     max_degree: usize,
     quarantined: FxHashSet<SourceId>,
     obs: Option<ObsHandle>,
+    /// What aggregation cost this pipeline: homologous matching plus
+    /// the MKA feedback rounds in [`MklgpPipeline::new`], zero for a
+    /// [`MklgpPipeline::bind`] to prebuilt state.
     mlg_cost: StageCost,
-    mlg_groups: usize,
     memo: Option<ConfidenceMemo>,
     /// Per-graph canonical-key interner; every triple's standardized
     /// value key is precomputed, so MCC never builds a key `String`.
@@ -275,9 +280,9 @@ impl AnswerStats {
 
 /// Builds the extraction schema a pipeline (or a cluster router) uses
 /// for this graph: every relation plus every entity name, verbatim.
-/// Split out of [`MklgpPipeline::new`] so the sharded router can build
-/// the *same* schema — and therefore the same logic forms — without
-/// paying for a full pipeline.
+/// [`GraphState`] carries one per graph, so the sharded router and the
+/// serving pipelines extract with the *same* schema instance — and
+/// therefore the same logic forms.
 pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
     let mut schema = Schema::new();
     for r in 0..kg.relation_count() {
@@ -289,182 +294,213 @@ pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
     schema
 }
 
+/// What [`MklgpPipeline`] derives from its graph alone: the extraction
+/// schema, the homologous sets MKA aggregates, the largest entity
+/// degree and the canonical-key interner. Built once per graph and
+/// shared, so [`MklgpPipeline::bind`] costs `Arc` clones (the
+/// interner's graph keys are shared too). The serving layer carries
+/// one per epoch snapshot.
+#[derive(Debug, Clone)]
+pub struct GraphState {
+    /// Extraction schema ([`kg_schema`]), shared by every LLM clone.
+    pub schema: Arc<Schema>,
+    /// Homologous groups (`SVs`) and isolated points (`LVs`) of the
+    /// graph, as [`match_homologous`] computes them.
+    pub sets: Arc<HomologousSets>,
+    /// Largest entity degree, which node assessment (Eqs. 8–11) reads.
+    pub max_degree: usize,
+    /// Canonical-key interner with every triple's key precomputed
+    /// ([`KeyInterner::for_graph`]); each bound pipeline answers with
+    /// its own clone, which shares the graph's keys and interns new
+    /// ones on its own.
+    pub keys: KeyInterner,
+}
+
+impl GraphState {
+    /// Assembles the state for `kg` from its homologous sets and an
+    /// interner already extended over it; derives the schema and the
+    /// largest degree.
+    pub fn new(kg: &KnowledgeGraph, sets: HomologousSets, keys: KeyInterner) -> Self {
+        Self {
+            schema: Arc::new(kg_schema(kg)),
+            sets: Arc::new(sets),
+            max_degree: kg
+                .entity_ids()
+                .map(|e| kg.neighbors(e).len())
+                .max()
+                .unwrap_or(0),
+            keys,
+        }
+    }
+}
+
+/// MKA consistency feedback: the homologous line graph makes
+/// cross-source agreement a local property (§III-C: "enabling rapid
+/// consistency checks and conflict feedback for homologous data"). A
+/// few credibility-weighted consensus rounds over the aggregated groups
+/// estimate each source's historical credibility — the `Pr^h(D)` that
+/// `Auth_hist` (Eq. 11) blends in. Without MKA this signal does not
+/// exist (part of the w/o-MKA F1 drop in Table III).
+fn seed_consensus(kg: &KnowledgeGraph, sets: &HomologousSets, history: &HistoryStore) {
+    let groups: Vec<Vec<(SourceId, String)>> = sets
+        .groups
+        .iter()
+        .map(|group| {
+            group
+                .triples
+                .iter()
+                .map(|&tid| {
+                    let t = kg.triple(tid);
+                    let key = match &t.object {
+                        Object::Literal(v) => v.standardized().canonical_key(),
+                        other => other.canonical_key(),
+                    };
+                    (t.source, key)
+                })
+                .collect()
+        })
+        .collect();
+    let mut cred: FxHashMap<SourceId, f64> = FxHashMap::default();
+    let mut final_tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
+    for _round in 0..3 {
+        let mut tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
+        for claims in &groups {
+            if claims.len() < 2 {
+                continue;
+            }
+            // Credibility-weighted support per value.
+            let mut weight: FxHashMap<&str, f64> = FxHashMap::default();
+            let mut total = 0.0;
+            for (source, key) in claims {
+                let w = cred.get(source).copied().unwrap_or(0.5);
+                *weight.entry(key.as_str()).or_insert(0.0) += w;
+                total += w;
+            }
+            let Some((best, &max_w)) = weight
+                .iter()
+                .max_by(|a, b| {
+                    a.1.partial_cmp(b.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.0.cmp(a.0))
+                })
+                .map(|(k, w)| (*k, w))
+            else {
+                continue;
+            };
+            // Only groups with a clear weighted consensus carry a
+            // trustworthy signal.
+            if max_w * 2.0 <= total {
+                continue;
+            }
+            for (source, key) in claims {
+                let entry = tally.entry(*source).or_insert((0, 0));
+                entry.1 += 1;
+                if key == best {
+                    entry.0 += 1;
+                }
+            }
+        }
+        for (source, (correct, total)) in &tally {
+            // Smoothed agreement rate.
+            cred.insert(*source, (*correct as f64 + 2.5) / (*total as f64 + 5.0));
+        }
+        final_tally = tally;
+    }
+    for (source, (correct, total)) in final_tally {
+        history.record(source, correct, total);
+    }
+}
+
 impl<'g> MklgpPipeline<'g> {
     /// Builds the pipeline: schema from the graph's relations and
-    /// entities, the MLG (unless ablated), and a fresh history store
-    /// seeded by MKA consensus feedback.
+    /// entities, the homologous sets (unless MKA is ablated), and a
+    /// fresh history store seeded by MKA consensus feedback.
     pub fn new(kg: &'g KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
-        Self::build(kg, config, seed, None, None)
+        Self::build(kg, config, seed, None)
     }
 
     /// Builds the pipeline around a prebuilt [`TieredIndex`]: homologous
-    /// matching runs by tier descent during MLG construction, and slot
-    /// extraction probes the index instead of the graph's slot map.
-    /// Answers are bit-identical to [`MklgpPipeline::new`]; only the
-    /// candidate-selection cost changes (`repro_index` gates both).
+    /// matching runs by tier descent, and slot extraction probes the
+    /// index instead of the graph's slot map. Answers are bit-identical
+    /// to [`MklgpPipeline::new`]; only the candidate-selection cost
+    /// changes (`repro_index` gates both).
     pub fn new_with_index(
         kg: &'g KnowledgeGraph,
         config: MultiRagConfig,
         seed: u64,
         index: Arc<TieredIndex>,
     ) -> Self {
-        Self::build(kg, config, seed, None, Some(index))
+        Self::build(kg, config, seed, Some(index))
     }
 
-    /// Builds the pipeline around an externally supplied history store,
-    /// skipping the MKA consensus-feedback rounds entirely. The serving
-    /// layer holds a frozen per-epoch credibility snapshot; rebuilding
-    /// consensus in [`MklgpPipeline::new`] only to discard it via
-    /// [`MklgpPipeline::with_history`] wastes the dominant share of
-    /// per-worker pipeline construction, which matters once a cluster
-    /// spins up one pipeline per (node, worker) pair.
-    pub fn new_with_history(
+    /// Binds a pipeline to prebuilt per-graph state, an externally
+    /// settled history store and the graph's [`TieredIndex`] — the
+    /// epoch-serving constructor. Nothing is derived from the graph:
+    /// the schema, homologous sets and interner keys are shared, and
+    /// the MKA consensus rounds are skipped because the
+    /// supplied history replaces their output. `state` must have been
+    /// built for `kg`.
+    pub fn bind(
         kg: &'g KnowledgeGraph,
-        config: MultiRagConfig,
-        seed: u64,
-        history: HistoryStore,
-    ) -> Self {
-        Self::build(kg, config, seed, Some(history), None)
-    }
-
-    /// [`MklgpPipeline::new_with_history`] plus a prebuilt
-    /// [`TieredIndex`] — the epoch-serving constructor: the snapshot
-    /// carries both the frozen credibility store and the index, so
-    /// per-worker pipeline construction pays for neither.
-    pub fn new_with_history_and_index(
-        kg: &'g KnowledgeGraph,
+        state: &GraphState,
         config: MultiRagConfig,
         seed: u64,
         history: HistoryStore,
         index: Arc<TieredIndex>,
     ) -> Self {
-        Self::build(kg, config, seed, Some(history), Some(index))
+        Self::assemble(kg, state.clone(), config, seed, history, Some(index))
     }
 
     fn build(
         kg: &'g KnowledgeGraph,
         config: MultiRagConfig,
         seed: u64,
-        supplied_history: Option<HistoryStore>,
         index: Option<Arc<TieredIndex>>,
     ) -> Self {
-        let llm = MockLlm::new(kg_schema(kg), seed);
         let mlg_started = WallTimer::start();
-        let mlg = config.enable_mka.then(|| match index.as_deref() {
-            Some(tindex) => MultiSourceLineGraph::build_with_index(kg, tindex),
-            None => MultiSourceLineGraph::build(kg),
-        });
-        let max_degree = kg
-            .entity_ids()
-            .map(|e| kg.neighbors(e).len())
-            .max()
-            .unwrap_or(0);
-        let seed_consensus = supplied_history.is_none();
-        let history =
-            supplied_history.unwrap_or_else(|| HistoryStore::new(config.history_pseudo, 0.5));
-        // MKA consistency feedback: the homologous line graph makes
-        // cross-source agreement a local property (§III-C: "enabling
-        // rapid consistency checks and conflict feedback for homologous
-        // data"). A few credibility-weighted consensus rounds over the
-        // aggregated groups estimate each source's historical
-        // credibility — the `Pr^h(D)` that `Auth_hist` (Eq. 11) blends
-        // in. Without MKA this signal does not exist (part of the
-        // w/o-MKA F1 drop in Table III). A caller-supplied history is
-        // already settled, so the rounds are skipped outright.
-        if let Some(mlg) = mlg.as_ref().filter(|_| seed_consensus) {
-            let groups: Vec<Vec<(SourceId, String)>> = mlg
-                .sets()
-                .groups
-                .iter()
-                .map(|group| {
-                    group
-                        .triples
-                        .iter()
-                        .map(|&tid| {
-                            let t = kg.triple(tid);
-                            let key = match &t.object {
-                                Object::Literal(v) => v.standardized().canonical_key(),
-                                other => other.canonical_key(),
-                            };
-                            (t.source, key)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut cred: FxHashMap<SourceId, f64> = FxHashMap::default();
-            let mut final_tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
-            for _round in 0..3 {
-                let mut tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
-                for claims in &groups {
-                    if claims.len() < 2 {
-                        continue;
-                    }
-                    // Credibility-weighted support per value.
-                    let mut weight: FxHashMap<&str, f64> = FxHashMap::default();
-                    let mut total = 0.0;
-                    for (source, key) in claims {
-                        let w = cred.get(source).copied().unwrap_or(0.5);
-                        *weight.entry(key.as_str()).or_insert(0.0) += w;
-                        total += w;
-                    }
-                    let Some((best, &max_w)) = weight
-                        .iter()
-                        .max_by(|a, b| {
-                            a.1.partial_cmp(b.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.0.cmp(a.0))
-                        })
-                        .map(|(k, w)| (*k, w))
-                    else {
-                        continue;
-                    };
-                    // Only groups with a clear weighted consensus carry
-                    // a trustworthy signal.
-                    if max_w * 2.0 <= total {
-                        continue;
-                    }
-                    for (source, key) in claims {
-                        let entry = tally.entry(*source).or_insert((0, 0));
-                        entry.1 += 1;
-                        if key == best {
-                            entry.0 += 1;
-                        }
-                    }
-                }
-                for (source, (correct, total)) in &tally {
-                    // Smoothed agreement rate.
-                    cred.insert(*source, (*correct as f64 + 2.5) / (*total as f64 + 5.0));
-                }
-                final_tally = tally;
-            }
-            for (source, (correct, total)) in final_tally {
-                history.record(source, correct, total);
-            }
+        let sets = match (config.enable_mka, index.as_deref()) {
+            (false, _) => HomologousSets::default(),
+            (true, Some(tindex)) => match_homologous_tiered(tindex),
+            (true, None) => match_homologous(kg),
+        };
+        let history = HistoryStore::new(config.history_pseudo, 0.5);
+        if config.enable_mka {
+            seed_consensus(kg, &sets, &history);
         }
-        // `mlg_build` covers line-graph construction *and* the MKA
-        // consistency-feedback rounds above — the full cost of having
+        // `mlg_build` covers homologous matching *and* the MKA
+        // consistency-feedback rounds — the full cost of having
         // aggregation (zero in the w/o-MKA ablation).
         let mlg_cost = StageCost {
             wall_s: mlg_started.elapsed_s(),
             sim_ms: 0.0,
         };
-        let mlg_groups = mlg
-            .as_ref()
-            .map(|m| m.sets().groups.len() + m.sets().isolated.len())
-            .unwrap_or(0);
+        let state = GraphState::new(kg, sets, KeyInterner::for_graph(kg));
+        Self {
+            mlg_cost,
+            ..Self::assemble(kg, state, config, seed, history, index)
+        }
+    }
+
+    fn assemble(
+        kg: &'g KnowledgeGraph,
+        state: GraphState,
+        config: MultiRagConfig,
+        seed: u64,
+        history: HistoryStore,
+        index: Option<Arc<TieredIndex>>,
+    ) -> Self {
         Self {
             kg,
-            mlg,
-            llm,
+            sets: config.enable_mka.then_some(state.sets),
+            llm: MockLlm::new(state.schema, seed),
             history,
             config,
-            max_degree,
+            max_degree: state.max_degree,
             quarantined: FxHashSet::default(),
             obs: None,
-            mlg_cost,
-            mlg_groups,
+            mlg_cost: StageCost::default(),
             memo: None,
-            keys: KeyInterner::for_graph(kg),
+            keys: state.keys,
             kernel: KernelCounters::default(),
             flushed: (0, 0, 0, 0),
             loopcfg: None,
@@ -478,7 +514,9 @@ impl<'g> MklgpPipeline<'g> {
     /// Attaches an observer: the LLM mirrors its meter into the shared
     /// registry, history updates are counted, graph-shape gauges are
     /// set, and the (already paid) `mlg_build` cost is recorded as a
-    /// span. Every subsequent [`answer`] emits a [`QueryTrace`].
+    /// span — zero wall for a bound pipeline, whose aggregation was
+    /// paid once when its [`GraphState`] was built. Every subsequent
+    /// [`answer`] emits a [`QueryTrace`].
     ///
     /// [`answer`]: MklgpPipeline::answer
     pub fn with_observer(mut self, obs: ObsHandle) -> Self {
@@ -493,7 +531,10 @@ impl<'g> MklgpPipeline<'g> {
             wall_s: self.mlg_cost.wall_s,
             sim_ms: self.mlg_cost.sim_ms,
             input: self.kg.triple_count(),
-            output: self.mlg_groups,
+            output: self
+                .sets
+                .as_ref()
+                .map_or(0, |sets| sets.groups.len() + sets.isolated.len()),
         });
         self.obs = Some(obs);
         self
@@ -521,17 +562,6 @@ impl<'g> MklgpPipeline<'g> {
     /// Overrides the retry policy the LLM applies under faults.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.llm = self.llm.with_retry_policy(retry);
-        self
-    }
-
-    /// Replaces the history store — the serving layer installs the
-    /// epoch's (frozen) credibility snapshot so every worker clone
-    /// answers from the same `Auth_hist` state, instead of the
-    /// consensus-seeded store [`MklgpPipeline::new`] builds. Call
-    /// before [`MklgpPipeline::with_observer`] so metrics attach to
-    /// the store that will actually be used.
-    pub fn with_history(mut self, history: HistoryStore) -> Self {
-        self.history = history;
         self
     }
 
@@ -600,23 +630,18 @@ impl<'g> MklgpPipeline<'g> {
         self.llm.reset_usage();
     }
 
-    /// The MLG, when MKA is enabled.
-    pub fn mlg(&self) -> Option<&MultiSourceLineGraph> {
-        self.mlg.as_ref()
-    }
-
     /// The history store (shared source credibility).
     pub fn history(&self) -> &HistoryStore {
         &self.history
     }
 
-    /// The homologous groups of the MLG slot index, in `(entity,
+    /// The homologous groups of the MKA slot index, in `(entity,
     /// relation)` order. Empty when MKA is ablated — there is no
     /// aggregated index to fan out over.
     pub fn slot_groups(&self) -> &[HomologousGroup] {
-        self.mlg
+        self.sets
             .as_ref()
-            .map(|m| m.sets().groups.as_slice())
+            .map(|sets| sets.groups.as_slice())
             .unwrap_or(&[])
     }
 
@@ -643,8 +668,14 @@ impl<'g> MklgpPipeline<'g> {
         (self.keys.hits(), self.keys.misses())
     }
 
+    /// The canonical-key interner this pipeline answers with.
+    pub fn key_interner(&self) -> &KeyInterner {
+        &self.keys
+    }
+
     /// Splits off a self-contained slot-level MCC evaluator: cloned LLM
-    /// stream (usage meter reset), cloned interner, the current history
+    /// stream (usage meter reset), a detached copy of the interner
+    /// ([`KeyInterner::detached`]), the current history
     /// snapshot, and fresh op counters. The deterministic fan-out path
     /// gives each worker thread one of these; because MCC never writes
     /// history, every worker observes exactly the state a serial sweep
@@ -655,7 +686,7 @@ impl<'g> MklgpPipeline<'g> {
         MccWorker {
             kg: self.kg,
             llm,
-            keys: self.keys.clone(),
+            keys: self.keys.detached(),
             history: self.history.clone(),
             config: self.config,
             max_degree: self.max_degree,
@@ -1500,7 +1531,7 @@ impl<'g> MklgpPipeline<'g> {
         entity: EntityId,
         relation: RelationId,
     ) -> (Vec<TripleId>, Vec<TripleId>, usize) {
-        if self.mlg.is_some() {
+        if self.sets.is_some() {
             // MKA: O(slot) probe — tier descent through the prebuilt
             // index when one is attached (entity lookup → slot bitset
             // → claim postings), otherwise the graph's slot map. Both
@@ -1666,8 +1697,8 @@ fn sets_from_extraction(
     entity: EntityId,
     relation: RelationId,
     extracted: &[TripleId],
-) -> crate::homologous::HomologousSets {
-    let mut sets = crate::homologous::HomologousSets::default();
+) -> HomologousSets {
+    let mut sets = HomologousSets::default();
     if extracted.len() >= 2 {
         let mut triples = extracted.to_vec();
         triples.sort_unstable();

@@ -7,6 +7,7 @@
 
 use crate::hash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense handle to an interned string.
 ///
@@ -128,17 +129,32 @@ impl Interner {
 /// the key of every triple's **standardized** object value, so per-slot
 /// profile construction is a table lookup instead of a string build.
 ///
+/// The keys and the per-triple table built for a graph are shared by
+/// every clone: cloning costs an `Arc` clone, and while they are shared
+/// a clone interns the keys it meets later on its own, numbered after
+/// the shared ones. [`KeyInterner::detached`] copies them instead.
+///
 /// A single scratch buffer is reused across [`KeyInterner::key_of`]
 /// calls; hit/miss counters feed the `claim_key_interner_*` metrics.
 #[derive(Debug, Default, Clone)]
 pub struct KeyInterner {
+    /// Keys and per-triple table of the graph, shared by clones.
+    graph: Arc<GraphKeys>,
+    /// Keys interned since `graph` was last extended; symbol `i` here
+    /// is `graph.keys.len() + i` to callers.
+    local: Interner,
+    scratch: String,
+    hits: u64,
+    misses: u64,
+}
+
+/// What [`KeyInterner::extend_to`] builds for a graph.
+#[derive(Debug, Default, Clone)]
+struct GraphKeys {
     keys: Interner,
     /// `triple_keys[tid]` — key of triple `tid`'s standardized value
     /// (empty unless built with [`KeyInterner::for_graph`]).
     triple_keys: Vec<Symbol>,
-    scratch: String,
-    hits: u64,
-    misses: u64,
 }
 
 impl KeyInterner {
@@ -150,40 +166,101 @@ impl KeyInterner {
     /// Builds the interner for a graph, precomputing the canonical key
     /// of every triple's standardized object value ([`Value::Str`] of
     /// the entity name for entity objects — the same form the
-    /// confidence layer compares).
+    /// confidence layer compares). Equivalent to
+    /// [`KeyInterner::extend_to`] on an empty interner.
     pub fn for_graph(kg: &crate::graph::KnowledgeGraph) -> Self {
         let mut this = Self {
-            keys: Interner::with_capacity(kg.triple_count() / 2 + 1),
-            triple_keys: Vec::with_capacity(kg.triple_count()),
+            graph: Arc::new(GraphKeys {
+                keys: Interner::with_capacity(kg.triple_count() / 2 + 1),
+                triple_keys: Vec::new(),
+            }),
             ..Self::default()
         };
-        for (tid, _) in kg.iter_triples() {
-            let value = kg.triple_value(tid).standardized();
-            let sym = this.key_of(&value);
-            this.triple_keys.push(sym);
-        }
+        this.extend_to(kg);
         this
+    }
+
+    /// Extends the per-triple cache over the triples of `kg` it does
+    /// not cover yet, in id order. Graphs only grow by appending
+    /// triples, so extending an interner built for an earlier state of
+    /// the same graph yields exactly what [`KeyInterner::for_graph`]
+    /// builds for the current one: the same symbol per triple, the same
+    /// keys and the same hit and miss counts. Copies the shared keys
+    /// first if a clone still holds them.
+    pub fn extend_to(&mut self, kg: &crate::graph::KnowledgeGraph) {
+        let covered = self.graph.triple_keys.len();
+        if covered >= kg.triple_count() {
+            return;
+        }
+        let graph = Arc::make_mut(&mut self.graph);
+        // Keys interned locally already carry the next symbols in turn.
+        for (_, key) in self.local.iter() {
+            graph.keys.intern(key);
+        }
+        self.local = Interner::new();
+        graph.triple_keys.reserve(kg.triple_count() - covered);
+        for (tid, _) in kg.iter_triples().skip(covered) {
+            let value = kg.triple_value(tid).standardized();
+            self.scratch.clear();
+            value.write_canonical_key(&mut self.scratch);
+            let before = graph.keys.len();
+            let sym = graph.keys.intern(&self.scratch);
+            if graph.keys.len() == before {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+            graph.triple_keys.push(sym);
+        }
+    }
+
+    /// A clone with its own copy of the graph keys, for a long-lived
+    /// user that interns many keys of its own: they go into that copy,
+    /// as in the interner it was cloned from.
+    pub fn detached(&self) -> Self {
+        Self {
+            graph: Arc::new(GraphKeys::clone(&self.graph)),
+            ..self.clone()
+        }
     }
 
     /// Interns `value`'s canonical key, reusing the scratch buffer.
     pub fn key_of(&mut self, value: &crate::value::Value) -> Symbol {
         self.scratch.clear();
         value.write_canonical_key(&mut self.scratch);
-        let before = self.keys.len();
-        let sym = self.keys.intern(&self.scratch);
-        if self.keys.len() == before {
+        // Sole owner of the graph keys and nothing interned on the
+        // side: one table, no second lookup.
+        if self.local.is_empty() {
+            if let Some(graph) = Arc::get_mut(&mut self.graph) {
+                let before = graph.keys.len();
+                let sym = graph.keys.intern(&self.scratch);
+                if graph.keys.len() == before {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
+                return sym;
+            }
+        }
+        if let Some(sym) = self.graph.keys.get(&self.scratch) {
+            self.hits += 1;
+            return sym;
+        }
+        let before = self.local.len();
+        let sym = self.local.intern(&self.scratch);
+        if self.local.len() == before {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
-        sym
+        Symbol(sym.0 + self.graph.keys.len() as u32)
     }
 
     /// The precomputed key of a triple's standardized value, if this
     /// interner was built with [`KeyInterner::for_graph`] over a graph
     /// containing `tid`. Cache uses count as interner hits.
     pub fn triple_key(&mut self, tid: crate::graph::TripleId) -> Option<Symbol> {
-        let sym = self.triple_keys.get(tid.index()).copied();
+        let sym = self.graph.triple_keys.get(tid.index()).copied();
         if sym.is_some() {
             self.hits += 1;
         }
@@ -196,17 +273,20 @@ impl KeyInterner {
     ///
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        self.keys.resolve(sym)
+        match sym.0.checked_sub(self.graph.keys.len() as u32) {
+            None => self.graph.keys.resolve(sym),
+            Some(local) => self.local.resolve(Symbol(local)),
+        }
     }
 
     /// Number of distinct interned keys.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.graph.keys.len() + self.local.len()
     }
 
     /// Whether no keys have been interned.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// Lookups that found an existing key (including triple-cache uses).
@@ -335,5 +415,77 @@ mod tests {
             Value::from("Delayed").standardized().canonical_key()
         );
         assert_eq!(keys.triple_key(TripleId(99)), None, "foreign triple");
+    }
+
+    #[test]
+    fn extend_to_a_grown_graph_equals_building_for_it() {
+        use crate::graph::{KnowledgeGraph, TripleId};
+        use crate::value::Value;
+        let mut kg = KnowledgeGraph::new();
+        let flight = kg.add_entity("CA981", "flights");
+        let status = kg.add_relation("status");
+        let s0 = kg.add_source("s0", "json", "flights");
+        kg.add_triple(flight, status, Value::from("Delayed"), s0, 0);
+        let mut extended = KeyInterner::for_graph(&kg);
+        kg.add_triple(flight, status, Value::from("delayed"), s0, 1);
+        kg.add_triple(flight, status, Value::Int(3), s0, 2);
+        extended.extend_to(&kg);
+        let mut fresh = KeyInterner::for_graph(&kg);
+        assert_eq!(extended.len(), fresh.len());
+        assert_eq!(
+            (extended.hits(), extended.misses()),
+            (fresh.hits(), fresh.misses())
+        );
+        for tid in (0..3).map(TripleId) {
+            assert_eq!(extended.triple_key(tid), fresh.triple_key(tid));
+        }
+        extended.extend_to(&kg);
+        assert_eq!(
+            extended.misses(),
+            fresh.misses(),
+            "extending again is a no-op"
+        );
+    }
+
+    #[test]
+    fn clones_share_graph_keys_and_number_new_keys_after_them() {
+        use crate::graph::{KnowledgeGraph, TripleId};
+        use crate::value::Value;
+        let mut kg = KnowledgeGraph::new();
+        let flight = kg.add_entity("CA981", "flights");
+        let status = kg.add_relation("status");
+        let s0 = kg.add_source("s0", "json", "flights");
+        kg.add_triple(flight, status, Value::from("Delayed"), s0, 0);
+        kg.add_triple(flight, status, Value::Int(3), s0, 1);
+        let built = KeyInterner::for_graph(&kg);
+        let (mut a, mut b) = (built.clone(), built.clone());
+        let novel = Value::from("Cancelled");
+        let sym = a.key_of(&novel);
+        assert_eq!(sym, b.key_of(&novel), "clones number new keys alike");
+        assert_eq!(sym.index(), built.len(), "new keys follow the graph's");
+        assert_eq!(a.resolve(sym), novel.canonical_key());
+        assert_eq!(a.key_of(&novel), sym);
+        assert_eq!(
+            (a.len(), built.len()),
+            (3, 2),
+            "the built interner is untouched"
+        );
+        assert_eq!(
+            (a.hits(), a.misses()),
+            (built.hits() + 1, built.misses() + 1)
+        );
+        let shared = a.key_of(&Value::from("delayed "));
+        assert_eq!(Some(shared), a.triple_key(TripleId(0)));
+        // Extending after local interning keeps every symbol and equals
+        // building for the grown graph.
+        kg.add_triple(flight, status, Value::from("cancelled"), s0, 2);
+        a.extend_to(&kg);
+        let mut fresh = KeyInterner::for_graph(&kg);
+        assert_eq!(a.triple_key(TripleId(2)), Some(sym));
+        assert_eq!(a.len(), fresh.len());
+        for tid in (0..3).map(TripleId) {
+            assert_eq!(a.triple_key(tid), fresh.triple_key(tid));
+        }
+        assert_eq!(b.len(), 3, "a clone's local keys stay its own");
     }
 }

@@ -24,6 +24,7 @@ use multirag_faults::{
 use multirag_kg::Value;
 use multirag_obs::MetricsRegistry;
 use multirag_retrieval::text::raw_tokens;
+use std::sync::Arc;
 
 /// Which fault-plan channel a guarded call consults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +117,8 @@ impl LlmUsage {
 #[derive(Debug, Clone)]
 pub struct MockLlm {
     seed: u64,
-    schema: Schema,
+    /// Shared by every clone; [`MockLlm::schema_mut`] copies on write.
+    schema: Arc<Schema>,
     cost: CostModel,
     halluc: HallucinationParams,
     authority_weights: AuthorityWeights,
@@ -128,11 +130,12 @@ pub struct MockLlm {
 }
 
 impl MockLlm {
-    /// Creates a client over `schema` with the given seed.
-    pub fn new(schema: Schema, seed: u64) -> Self {
+    /// Creates a client over `schema` with the given seed. Passing an
+    /// `Arc<Schema>` shares it instead of copying it.
+    pub fn new(schema: impl Into<Arc<Schema>>, seed: u64) -> Self {
         Self {
             seed,
-            schema,
+            schema: schema.into(),
             cost: CostModel::default(),
             halluc: HallucinationParams::default(),
             authority_weights: AuthorityWeights::default(),
@@ -220,9 +223,10 @@ impl MockLlm {
     }
 
     /// Mutable access to the schema (e.g. to grow the gazetteer as
-    /// entities are discovered).
+    /// entities are discovered). Copies the schema first if another
+    /// client shares it.
     pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
+        Arc::make_mut(&mut self.schema)
     }
 
     /// The seed (for deriving per-query sub-keys).

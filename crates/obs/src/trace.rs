@@ -5,7 +5,7 @@
 //! | stage | what it covers |
 //! |---|---|
 //! | `ingest` | raw source bytes → fused claims (lenient skips included) |
-//! | `mlg_build` | multi-source line graph construction + MKA feedback |
+//! | `mlg_build` | homologous matching + MKA feedback (no line graph) |
 //! | `homologous_group` | logic form, extraction and homologous grouping |
 //! | `graph_confidence` | Eqs. 4–7 graph-level gating |
 //! | `node_confidence` | Eqs. 8–11 node assessment + thresholding |
@@ -31,7 +31,7 @@ pub enum Stage {
     /// Raw bytes → fused claims.
     #[default]
     Ingest,
-    /// Multi-source line graph construction.
+    /// MKA aggregation: homologous matching + consensus feedback.
     MlgBuild,
     /// Logic form + extraction + homologous grouping.
     HomologousGroup,

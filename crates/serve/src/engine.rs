@@ -18,6 +18,7 @@ use multirag_faults::{FaultPlan, RetryPolicy};
 use multirag_kg::SourceId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 
@@ -197,7 +198,9 @@ pub fn serve_concurrent(
 /// [`serve_concurrent`] behind a bounded admission queue: the caller
 /// thread `try_send`s every request; when the queue is full the
 /// request is shed immediately as [`ServeVerdict::Overloaded`] instead
-/// of blocking the stream.
+/// of blocking the stream. The caller then serves as one of the
+/// `workers`, so a batch starts on a thread that is already running
+/// and spawns one thread fewer.
 pub fn serve_with_admission(
     snapshot: &EpochSnapshot,
     caches: &CacheStack,
@@ -221,8 +224,8 @@ fn serve_with_admission_gated(
 ) -> Vec<ServeResponse> {
     let n = requests.len();
     // Identity of every request, kept outside the scope so any slot a
-    // worker failed to fill (a poisoned cell, a dead scope) degrades to
-    // a shed verdict for *that* request instead of a panic.
+    // worker failed to fill (a poisoned cell, a dead worker) degrades
+    // to a shed verdict for *that* request instead of a panic.
     let meta: Vec<(u32, RequestKind)> = requests.iter().map(|r| (r.seq, r.kind)).collect();
     let shed = |(seq, kind): (u32, RequestKind)| ServeResponse {
         seq,
@@ -240,27 +243,30 @@ fn serve_with_admission_gated(
             *slot = Some(response);
         }
     };
-    // A worker dying mid-epoch aborts the scope; its unfilled slots
-    // degrade to shed verdicts below rather than poisoning the batch.
-    let _ = crossbeam::scope(|scope| {
-        let (rx, store) = (&rx, &store);
-        for _ in 0..config.workers.max(1) {
-            scope.spawn(move |_| {
-                let mut pipeline = snapshot_pipeline(snapshot, caches, config);
-                loop {
-                    if let Some(gate) = gate {
-                        while gate.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
+    // One worker: a snapshot-bound pipeline serving until the queue
+    // closes. A panicking cell ends only its own worker; the others
+    // keep draining the queue.
+    let work = || {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let mut pipeline = snapshot_pipeline(snapshot, caches, config);
+            loop {
+                if let Some(gate) = gate {
+                    while gate.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
                     }
-                    let message = rx.lock().recv();
-                    let Ok((idx, request)) = message else {
-                        break;
-                    };
-                    let response = serve_one(&mut pipeline, caches, &request);
-                    store(idx, response);
                 }
-            });
+                let message = rx.lock().recv();
+                let Ok((idx, request)) = message else {
+                    break;
+                };
+                let response = serve_one(&mut pipeline, caches, &request);
+                store(idx, response);
+            }
+        }));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..config.workers.max(1) {
+            scope.spawn(work);
         }
         for (idx, request) in requests.into_iter().enumerate() {
             match tx.try_send((idx, request)) {
@@ -269,8 +275,9 @@ fn serve_with_admission_gated(
                 | Err(TrySendError::Disconnected((idx, request))) => {
                     // Full: the admission queue shed the request.
                     // Disconnected: every worker is gone (cannot happen
-                    // while they hold the receiver, but degrading to a
-                    // shed is strictly better than crashing serving).
+                    // while the caller holds the receiver, but
+                    // degrading to a shed is strictly better than
+                    // crashing serving).
                     store(idx, shed((request.seq, request.kind)));
                 }
             }
@@ -279,6 +286,7 @@ fn serve_with_admission_gated(
         if let Some(gate) = gate {
             gate.store(false, Ordering::SeqCst);
         }
+        work();
     });
     results
         .into_iter()
@@ -416,6 +424,27 @@ mod tests {
         assert!(responses
             .iter()
             .all(|r| matches!(r.verdict, ServeVerdict::Answered(_))));
+    }
+
+    #[test]
+    fn admission_answers_match_the_sequential_oracle_at_any_worker_count() {
+        let (snap, queries) = snapshot();
+        let stream = build_workload(&queries, queries.len() * 2, 42);
+        let oracle = serve_sequential(&snap, &CacheStack::new(), &ServeConfig::default(), &stream);
+        // One worker is the calling thread alone; more add spawned ones.
+        for workers in [1, 2, 4] {
+            let config = ServeConfig {
+                workers,
+                queue_depth: stream.len(),
+                ..ServeConfig::default()
+            };
+            let served = serve_with_admission(&snap, &CacheStack::new(), &config, stream.clone());
+            assert_eq!(served.len(), oracle.len());
+            for (o, s) in oracle.iter().zip(&served) {
+                assert_eq!(o.seq, s.seq);
+                assert_eq!(o.verdict, s.verdict, "workers {workers}, seq {}", o.seq);
+            }
+        }
     }
 
     #[test]

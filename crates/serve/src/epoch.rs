@@ -3,9 +3,9 @@
 //! The serving subsystem separates the *mutable* world (a single
 //! [`IndexWriter`] applying streamed triple updates and folding in
 //! serving feedback) from the *immutable* world queries actually read
-//! (an [`EpochSnapshot`] bundling the knowledge graph, the streamed
-//! homologous index, its materialized sets and a frozen credibility
-//! store). Publishing swaps one `Arc` behind a short write lock;
+//! (an [`EpochSnapshot`] bundling the knowledge graph, the per-graph
+//! pipeline state, the tiered index and a frozen credibility store).
+//! Publishing swaps one `Arc` behind a short write lock;
 //! readers clone the `Arc` and keep answering from the old epoch until
 //! they next call [`EpochIndex::load`] — they never block on the
 //! writer, and an in-flight query never observes a half-applied batch.
@@ -18,14 +18,15 @@
 //! 2. `publish` folds the accumulated feedback into the (thawed)
 //!    credibility store in sorted source order — deterministic no
 //!    matter how the serving threads interleaved — then freezes a clone
-//!    of it into the new snapshot;
+//!    of it into the new snapshot, next to the epoch's [`GraphState`]
+//!    (its canonical-key interner extended over the triples applied
+//!    since the last publish, not rebuilt);
 //! 3. the serving layer clears the epoch-scoped caches (result cache,
 //!    MCC memo) on swap; the content-addressed LLM response cache
 //!    survives because its keys hash every operand.
 
-use multirag_core::homologous::HomologousSets;
-use multirag_core::{HistoryStore, IncrementalMlg, MklgpPipeline, MultiRagConfig};
-use multirag_kg::{persist, FxHashMap, KnowledgeGraph, SourceId, TieredIndex, Value};
+use multirag_core::{GraphState, HistoryStore, IncrementalMlg, MklgpPipeline, MultiRagConfig};
+use multirag_kg::{persist, FxHashMap, KeyInterner, KnowledgeGraph, SourceId, TieredIndex, Value};
 use multirag_obs::MetricsRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -54,11 +55,12 @@ pub struct EpochSnapshot {
     pub epoch: u64,
     /// The knowledge graph as of this epoch.
     pub graph: KnowledgeGraph,
-    /// The streamed homologous index as of this epoch.
-    pub index: IncrementalMlg,
-    /// Materialized homologous sets (what the batch matcher would
-    /// produce over [`EpochSnapshot::graph`]).
-    pub sets: HomologousSets,
+    /// What every pipeline bound to this epoch shares, built once at
+    /// publish: the extraction schema, the homologous sets (what the
+    /// batch matcher would produce over [`EpochSnapshot::graph`]), the
+    /// largest degree and the canonical-key interner, which equals
+    /// [`KeyInterner::for_graph`] over the graph.
+    pub state: GraphState,
     /// Frozen source-credibility store: `record` is a no-op, so every
     /// answer in this epoch is a pure function of `(epoch, query)`.
     pub history: HistoryStore,
@@ -77,15 +79,17 @@ pub struct EpochSnapshot {
 impl EpochSnapshot {
     /// Builds a pipeline bound to this snapshot, with the epoch's
     /// frozen credibility store installed. Callers layer caches, fault
-    /// plans and retry policies on top. Uses
-    /// [`MklgpPipeline::new_with_history`] so the MKA consensus rounds
-    /// — whose output the frozen store would replace anyway — are never
-    /// computed; a cluster spinning up one pipeline per (node, worker)
-    /// pair pays only for line-graph construction — and descends the
-    /// epoch's shared [`TieredIndex`] instead of re-deriving slot maps.
+    /// plans and retry policies on top. Binding derives nothing from
+    /// the graph ([`MklgpPipeline::bind`]): it shares the epoch's
+    /// schema, homologous sets, interner keys and [`TieredIndex`],
+    /// copies the history, and never runs the MKA consensus rounds —
+    /// whose output the frozen store replaces anyway. A cluster
+    /// spinning up one pipeline per (node, worker) pair pays that copy
+    /// and nothing else.
     pub fn pipeline(&self) -> MklgpPipeline<'_> {
-        MklgpPipeline::new_with_history_and_index(
+        MklgpPipeline::bind(
             &self.graph,
+            &self.state,
             self.config,
             self.seed,
             self.history.clone(),
@@ -140,12 +144,15 @@ impl EpochIndex {
 }
 
 /// The single writer: owns the evolving graph, the streamed homologous
-/// index, the thawed credibility store, and the feedback accumulated
-/// since the last publish.
+/// index, the thawed credibility store, the canonical-key interner and
+/// the feedback accumulated since the last publish.
 pub struct IndexWriter {
     graph: KnowledgeGraph,
     index: IncrementalMlg,
     history: HistoryStore,
+    /// Covers the graph as of the last publish; extended over the
+    /// triples applied since at the next one.
+    keys: KeyInterner,
     sources: FxHashMap<String, SourceId>,
     feedback: BTreeMap<SourceId, (usize, usize)>,
     config: MultiRagConfig,
@@ -158,9 +165,12 @@ pub struct IndexWriter {
 impl IndexWriter {
     /// Wraps an existing graph. The initial credibility store is the
     /// MKA consensus estimate [`MklgpPipeline::new`] computes — the
-    /// same warm prior the batch pipeline starts from.
+    /// same warm prior the batch pipeline starts from — and the
+    /// interner is the one that pipeline built for the graph.
     pub fn new(graph: KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
-        let history = MklgpPipeline::new(&graph, config, seed).history().clone();
+        let seeded = MklgpPipeline::new(&graph, config, seed);
+        let history = seeded.history().clone();
+        let keys = seeded.key_interner().clone();
         let index = IncrementalMlg::from_graph(&graph);
         let sources: FxHashMap<String, SourceId> = (0..graph.source_count())
             .map(|i| {
@@ -178,6 +188,7 @@ impl IndexWriter {
             graph,
             index,
             history,
+            keys,
             sources,
             feedback: BTreeMap::new(),
             config,
@@ -246,8 +257,9 @@ impl IndexWriter {
 
     /// Folds pending feedback into the credibility store (the
     /// `BTreeMap` yields source order by construction — deterministic
-    /// regardless of serving interleavings) and publishes a new
-    /// immutable snapshot.
+    /// regardless of serving interleavings), extends the interner over
+    /// the newly applied triples and publishes a new immutable
+    /// snapshot.
     pub fn publish(&mut self) -> Arc<EpochSnapshot> {
         self.history.thaw();
         for (source, (correct, total)) in std::mem::take(&mut self.feedback) {
@@ -255,12 +267,12 @@ impl IndexWriter {
         }
         let history = self.history.clone();
         history.freeze();
+        self.keys.extend_to(&self.graph);
         self.epoch += 1;
         let snapshot = EpochSnapshot {
             epoch: self.epoch,
             graph: self.graph.clone(),
-            index: self.index.clone(),
-            sets: self.index.to_sets(),
+            state: GraphState::new(&self.graph, self.index.to_sets(), self.keys.clone()),
             history,
             config: self.config,
             seed: self.seed,
@@ -346,11 +358,10 @@ mod tests {
         assert_eq!(writer.index.group_count(), groups_before + 1);
         let snap = writer.publish();
         assert_eq!(snap.updates_applied, 2);
-        // The snapshot index agrees with a from-scratch rebuild.
-        let rebuilt = IncrementalMlg::from_graph(&snap.graph);
-        assert_eq!(snap.index.group_count(), rebuilt.group_count());
-        assert_eq!(snap.index.isolated_count(), rebuilt.isolated_count());
-        assert_eq!(snap.sets.groups.len(), rebuilt.to_sets().groups.len());
+        // The snapshot's sets agree with a from-scratch rebuild.
+        let rebuilt = IncrementalMlg::from_graph(&snap.graph).to_sets();
+        assert_eq!(snap.state.sets.groups, rebuilt.groups);
+        assert_eq!(snap.state.sets.isolated, rebuilt.isolated);
     }
 
     #[test]
