@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use multirag_core::confidence::{graph_confidence, mi_similarity};
 use multirag_core::homologous::match_homologous;
-use multirag_core::{IncrementalMlg, MultiSourceLineGraph};
+use multirag_core::MultiSourceLineGraph;
 use multirag_datasets::spec::Scale;
 use multirag_datasets::{flights::FlightsSpec, movies::MoviesSpec, stocks::StocksSpec};
 use multirag_kg::{KnowledgeGraph, LineGraph, Value};
@@ -78,34 +78,9 @@ fn confidence_benches(c: &mut Criterion) {
     group.finish();
 }
 
-fn incremental_benches(c: &mut Criterion) {
-    // Ablation: per-triple incremental maintenance vs full rebuild on
-    // every batch — the design choice behind `IncrementalMlg`.
-    let kg = MoviesSpec::small().generate(42).graph;
-    let mut group = c.benchmark_group("incremental_vs_rebuild");
-    group.bench_function("incremental_full_stream", |b| {
-        b.iter(|| {
-            let mut index = IncrementalMlg::new();
-            for (tid, t) in kg.iter_triples() {
-                index.insert(t.subject, t.predicate, t.source, tid);
-            }
-            black_box(index)
-        })
-    });
-    group.bench_function("batch_rebuild_once", |b| {
-        b.iter(|| black_box(match_homologous(&kg)))
-    });
-    group.bench_function("incremental_single_insert", |b| {
-        let mut index = IncrementalMlg::from_graph(&kg);
-        let (tid, t) = kg.iter_triples().next().unwrap();
-        b.iter(|| black_box(index.insert(t.subject, t.predicate, t.source, tid)))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = construction_benches, confidence_benches, incremental_benches
+    targets = construction_benches, confidence_benches
 }
 criterion_main!(benches);

@@ -39,53 +39,20 @@
 //! cargo run --release -p multirag-bench --bin repro_index
 //! ```
 
-use multirag_bench::{check_schema, replicate_graph, schema_outline, seed};
+use multirag_bench::{
+    alloc_snapshot, check_schema, replicate_graph, schema_outline, seed, CountingAlloc,
+};
 use multirag_core::{match_homologous, match_homologous_tiered, HomologousSets};
 use multirag_eval::table::{fmt2, Table};
 use multirag_kg::{
     EntityId, FxHasher, KnowledgeGraph, RelationId, SourceId, TieredIndex, TindexCounters, TripleId,
 };
 use multirag_obs::json::JsonObj;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Pass-through allocator that counts allocations and bytes. Only
-/// `alloc`/`realloc` count — frees are irrelevant to the "how much
-/// heap traffic does the stage generate" question the harness asks.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_snapshot() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    )
-}
 
 /// Order-sensitive digest over a matching result: every group's slot
 /// key, member ids and distinct-source count, plus the isolated list.

@@ -14,8 +14,8 @@ use multirag_core::{kg_schema, MklgpPipeline, MultiRagConfig, MultiSourceLineGra
 use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::spec::Scale;
 use multirag_eval::table::{fmt2, Table};
-use multirag_eval::timing::Stopwatch;
 use multirag_llmsim::client::MockLlm;
+use multirag_obs::WallTimer;
 use multirag_serve::{
     build_workload, closed_loop, serve_sequential, CacheStack, IndexWriter, ServeConfig,
 };
@@ -40,14 +40,14 @@ fn main() {
         })
         .generate(seed);
 
-        let watch = Stopwatch::start();
+        let watch = WallTimer::start();
         let mlg = MultiSourceLineGraph::build(&data.graph);
         let build_s = watch.elapsed_s();
         std::hint::black_box(mlg.stats());
 
         let run = |config: MultiRagConfig| {
             let mut pipeline = MklgpPipeline::new(&data.graph, config, seed);
-            let watch = Stopwatch::start();
+            let watch = WallTimer::start();
             for q in &data.queries {
                 std::hint::black_box(pipeline.answer(q));
             }

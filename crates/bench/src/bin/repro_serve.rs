@@ -27,7 +27,7 @@
 //! ```
 
 use multirag_bench::{check_schema, seed};
-use multirag_core::MultiRagConfig;
+use multirag_core::{match_homologous_tiered, MultiRagConfig};
 use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::Query;
 use multirag_eval::table::Table;
@@ -42,11 +42,12 @@ use multirag_serve::{
 };
 
 fn summarize(snap: &EpochSnapshot) -> EpochSummary {
+    let sets = match_homologous_tiered(&snap.state.tindex);
     EpochSummary {
         epoch: snap.epoch,
         triples: snap.graph.triple_count(),
-        groups: snap.state.sets.groups.len(),
-        isolated: snap.state.sets.isolated.len(),
+        groups: sets.groups.len(),
+        isolated: sets.isolated.len(),
         updates_applied: snap.updates_applied,
     }
 }

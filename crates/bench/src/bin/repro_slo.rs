@@ -41,7 +41,7 @@ use multirag_datasets::movies::MoviesSpec;
 use multirag_eval::table::Table;
 use multirag_faults::FaultPlan;
 use multirag_obs::json::JsonObj;
-use multirag_obs::slo::{bucket_of, Completion, SloEngine, SloOutcome, SloSpec};
+use multirag_obs::slo::{bucket_of, nearest_rank, Completion, SloEngine, SloOutcome, SloSpec};
 use multirag_obs::Observer;
 use multirag_serve::{
     attribute, build_workload, closed_loop_timeline, request_costs, serve_sequential_observed,
@@ -77,16 +77,6 @@ struct Leg {
     approx: [u64; 3],
     outcome: SloOutcome,
     attribution: AttributionOutcome,
-}
-
-/// Exact integer nearest-rank (same ceiling rank the simulator uses).
-fn exact_rank(sorted: &[u64], percent: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * percent).div_ceil(100);
-    sorted[(rank.clamp(1, n) - 1) as usize]
 }
 
 /// Replays one cost vector through the closed loop and runs the full
@@ -136,9 +126,9 @@ fn run_leg(
         .collect();
     latencies.sort_unstable();
     let exact = [
-        exact_rank(&latencies, 50),
-        exact_rank(&latencies, 95),
-        exact_rank(&latencies, 99),
+        nearest_rank(&latencies, 50),
+        nearest_rank(&latencies, 95),
+        nearest_rank(&latencies, 99),
     ];
     let approx = [
         engine.overall().quantile_us(50),
@@ -258,7 +248,7 @@ fn main() {
         .map(RequestTiming::latency_us)
         .collect();
     clean_latencies.sort_unstable();
-    let clean_p99 = exact_rank(&clean_latencies, 99);
+    let clean_p99 = nearest_rank(&clean_latencies, 99);
     let spec = SloSpec::default()
         .with_window_us(((clean_probe.sim_total_ms * 1000.0) as u64 / CLEAN_WINDOWS).max(1))
         .with_p99_target_us(clean_p99 * TARGET_MULTIPLIER)

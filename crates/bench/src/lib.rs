@@ -45,6 +45,49 @@ use multirag_datasets::{
 };
 use multirag_ingest::JsonValue;
 use multirag_kg::{KnowledgeGraph, Object, RelationId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Pass-through allocator that counts allocations and bytes. Only
+/// `alloc`/`realloc` count — frees are irrelevant to the "how much
+/// heap traffic does the stage generate" question the perf harnesses
+/// ask. A binary opts in with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
+/// and reads the counters through [`alloc_snapshot`].
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are relaxed
+// statistics that publish no data and never touch the allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// `(allocations, bytes)` counted by [`CountingAlloc`] so far; stays
+/// `(0, 0)` unless the binary installed it as its global allocator.
+pub fn alloc_snapshot() -> (u64, u64) {
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
 
 /// Reads the experiment scale from `MULTIRAG_SCALE`.
 pub fn scale() -> Scale {

@@ -17,7 +17,7 @@
 
 use crate::ring::{slot_key, HashRing, DEFAULT_VNODES};
 use multirag_faults::FaultPlan;
-use multirag_kg::{Bitset, SlotId};
+use multirag_kg::SlotId;
 use multirag_obs::{shard_series, MetricsRegistry};
 use multirag_serve::{CacheStack, EpochSnapshot, ServeConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -69,25 +69,20 @@ pub struct Cluster {
     counters: ClusterCounters,
 }
 
-/// Every slot the snapshot's homologous index knows: grouped slots and
+/// Every slot of the snapshot's tiered index: grouped slots and
 /// isolated (single-assertion) slots alike, as canonical slot keys in
 /// sorted order.
 pub fn slot_universe(snapshot: &EpochSnapshot) -> BTreeSet<String> {
-    let mut slots = BTreeSet::new();
-    for group in &snapshot.state.sets.groups {
-        slots.insert(slot_key(
-            snapshot.graph.entity_name(group.entity),
-            snapshot.graph.relation_name(group.relation),
-        ));
-    }
-    for &tid in &snapshot.state.sets.isolated {
-        let triple = snapshot.graph.triple(tid);
-        slots.insert(slot_key(
-            snapshot.graph.entity_name(triple.subject),
-            snapshot.graph.relation_name(triple.predicate),
-        ));
-    }
-    slots
+    let index = &snapshot.state.tindex;
+    (0..index.slot_count() as u32)
+        .map(SlotId)
+        .map(|slot| {
+            slot_key(
+                snapshot.graph.entity_name(index.slot_entity(slot)),
+                snapshot.graph.relation_name(index.slot_relation(slot)),
+            )
+        })
+        .collect()
 }
 
 impl Cluster {
@@ -288,35 +283,6 @@ impl Cluster {
         (moved, added)
     }
 
-    /// Shard-local sub-indexes, derived from the slot assignments: for
-    /// each node, the slice of the snapshot's tiered-index slot tier
-    /// it owns, as a [`Bitset`] over dense slot ids. The per-node
-    /// bitsets partition the slot universe — pairwise disjoint, union
-    /// covering every slot — because the tiered index materializes
-    /// exactly the non-empty `(entity, attribute)` slots the ring
-    /// assigns. A node can therefore scope descent work to its own
-    /// slots (one AND against its bitset) without re-deriving
-    /// ownership; the sub-indexes track rebalances and resizes for
-    /// free, since they are a pure function of `assignments`.
-    pub fn shard_slot_bitsets(&self) -> Vec<Bitset> {
-        let index = &self.snapshot.tindex;
-        let mut bitsets: Vec<Bitset> = (0..self.shards())
-            .map(|_| Bitset::with_capacity(index.slot_count()))
-            .collect();
-        for slot in (0..index.slot_count() as u32).map(SlotId) {
-            let key = slot_key(
-                self.snapshot.graph.entity_name(index.slot_entity(slot)),
-                self.snapshot.graph.relation_name(index.slot_relation(slot)),
-            );
-            if let Some(&owner) = self.assignments.get(&key) {
-                if let Some(bits) = bitsets.get_mut(owner as usize) {
-                    bits.insert(slot.0);
-                }
-            }
-        }
-        bitsets
-    }
-
     /// Exports per-shard ownership gauges through the name-sorted
     /// exposition (zero-padded shard labels keep numeric order).
     pub fn export_ownership_metrics(&self) {
@@ -349,47 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_bitsets_partition_the_slot_tier() {
+    fn every_slot_of_the_tier_has_one_owner_across_resizes() {
         let snapshot = snapshot();
-        let slots = snapshot.tindex.slot_count();
+        let slots = snapshot.state.tindex.slot_count();
         assert!(slots > 0);
-        let cluster = Cluster::new(snapshot, 4, ServeConfig::default(), 2);
-        let bitsets = cluster.shard_slot_bitsets();
-        assert_eq!(bitsets.len(), 4);
-        // Pairwise disjoint: no slot is owned by two nodes.
-        let mut ops = 0u64;
-        for (i, a) in bitsets.iter().enumerate() {
-            for b in bitsets.iter().skip(i + 1) {
-                assert!(a.is_disjoint(b, &mut ops));
-            }
-        }
-        // Full coverage: every tiered-index slot has exactly one owner,
-        // and the slot universe the ring assigns is the slot tier.
-        let mut union = Bitset::with_capacity(slots);
-        for bits in &bitsets {
-            union.union_with(bits);
-        }
-        assert_eq!(union.count(), slots);
-        assert_eq!(cluster.assignments().len(), slots);
-    }
-
-    #[test]
-    fn shard_bitsets_follow_resize() {
-        let snapshot = snapshot();
-        let slots = snapshot.tindex.slot_count();
         let mut cluster = Cluster::new(snapshot, 2, ServeConfig::default(), 1);
-        let before: usize = cluster.shard_slot_bitsets().iter().map(Bitset::count).sum();
-        assert_eq!(before, slots);
+        assert_eq!(cluster.assignments().len(), slots);
         cluster.resize(4);
-        let after = cluster.shard_slot_bitsets();
-        assert_eq!(after.len(), 4);
-        // Coverage is stable across the resize; only ownership moved.
-        assert_eq!(after.iter().map(Bitset::count).sum::<usize>(), slots);
-        let mut ops = 0u64;
-        for (i, a) in after.iter().enumerate() {
-            for b in after.iter().skip(i + 1) {
-                assert!(a.is_disjoint(b, &mut ops));
-            }
-        }
+        assert_eq!(cluster.assignments().len(), slots);
+        assert!(cluster.assignments().values().all(|&owner| owner < 4));
     }
 }

@@ -8,7 +8,12 @@
 //! Slots asserted by a single triple are isolated points (`LVs`).
 //!
 //! Matching sorts triples by slot key — `O(n log n)` in the number of
-//! triples, as the paper claims.
+//! triples, as the paper claims. The sort happens once per graph, in
+//! [`TieredIndex::build`]; [`match_homologous_tiered`] reads the groups
+//! off its slot tier. [`match_homologous`] redoes the sort on its own
+//! and is kept as the reference oracle: property tests, `repro_index`'s
+//! digest gate and the criterion bench compare against it, and no
+//! library code calls it.
 
 use multirag_kg::{EntityId, KnowledgeGraph, RelationId, SlotId, TieredIndex, TripleId};
 
@@ -63,7 +68,9 @@ impl HomologousSets {
     }
 }
 
-/// Matches homologous groups across the whole graph.
+/// Matches homologous groups across the whole graph by sorting every
+/// triple on its slot key — the reference oracle for
+/// [`match_homologous_tiered`].
 ///
 /// Sorting dominates: `O(n log n)` for `n` triples.
 pub fn match_homologous(kg: &KnowledgeGraph) -> HomologousSets {
@@ -99,9 +106,8 @@ pub fn match_homologous(kg: &KnowledgeGraph) -> HomologousSets {
     sets
 }
 
-/// Matches homologous groups by tier descent over a prebuilt
-/// [`TieredIndex`] — the sub-linear replacement for
-/// [`match_homologous`], which is retained as the reference oracle.
+/// Matches homologous groups by reading the slot tier of a prebuilt
+/// [`TieredIndex`].
 ///
 /// The index's slot tier is already sorted by `(entity, relation)`
 /// with ascending member ids and precomputed distinct-source counts,

@@ -11,13 +11,12 @@
 //!   `w/o MCC`).
 //! * [`homologous`] — Definitions 3–5: grouping the claims of one
 //!   `(entity, attribute)` slot across sources into homologous
-//!   subgraphs (`O(n log n)` matching).
+//!   subgraphs, read off the slot tier of the graph's
+//!   [`multirag_kg::TieredIndex`]; the sort-based `O(n log n)` matcher
+//!   stays as the reference oracle for tests and `repro_index`.
 //! * [`mlg`] — the multi-source line graph: homologous groups become
 //!   cliques in the triple line graph (Fig. 4), indexed for per-query
 //!   extraction.
-//! * [`incremental`] — streaming maintenance of the homologous index
-//!   under triple insertion (feeds update continuously; rebuilding per
-//!   batch would forfeit the aggregation).
 //! * [`confidence`] — Eqs. 4–11: mutual-information graph-level
 //!   confidence, node consistency, LLM + historical authority, and the
 //!   MCC algorithm (Algorithm 1).
@@ -27,7 +26,7 @@
 //!   subgraph hash (the serving subsystem's mid-level cache).
 //! * [`pipeline`] — MKLGP (Algorithm 2): logic form → extraction → MLG
 //!   → MCC → trustworthy answer; [`GraphState`] is the per-graph part a
-//!   pipeline binds to.
+//!   pipeline binds to, the tiered index its MKA path descends included.
 //! * [`loopctl`] — closed-loop grounded generation: grade the drafted
 //!   answer against the kept context and escalate (widen → consult →
 //!   tighten) under a deadline-bounded budget.
@@ -36,7 +35,6 @@ pub mod confidence;
 pub mod config;
 pub mod history;
 pub mod homologous;
-pub mod incremental;
 pub mod loopctl;
 pub mod memo;
 pub mod merge;
@@ -48,7 +46,6 @@ pub use confidence::{ClaimProfile, GraphConfidence, KernelCounters, MccOutcome, 
 pub use config::MultiRagConfig;
 pub use history::HistoryStore;
 pub use homologous::{match_homologous, match_homologous_tiered, HomologousGroup, HomologousSets};
-pub use incremental::IncrementalMlg;
 pub use loopctl::{grade_supported, LadderStep, LoopConfig};
 pub use memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
 pub use merge::{reduce_shard_answers, MergedVerdict};

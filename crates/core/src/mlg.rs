@@ -7,9 +7,7 @@
 //! the original graph — the source of the MKA module's 10–100× query
 //! acceleration (Table III).
 
-use crate::homologous::{
-    match_homologous, match_homologous_tiered, HomologousGroup, HomologousSets,
-};
+use crate::homologous::{match_homologous_tiered, HomologousGroup, HomologousSets};
 use multirag_kg::{
     EntityId, FxHashMap, KnowledgeGraph, LineGraph, RelationId, TieredIndex, TripleId,
 };
@@ -43,20 +41,18 @@ pub struct MultiSourceLineGraph {
 
 impl MultiSourceLineGraph {
     /// Builds the MLG for a knowledge graph: line-graph transform plus
-    /// homologous matching and indexing.
+    /// homologous matching and indexing, through a fresh
+    /// [`TieredIndex`].
     pub fn build(kg: &KnowledgeGraph) -> Self {
-        Self::assemble(LineGraph::from_graph(kg), match_homologous(kg))
+        Self::build_with_index(kg, &TieredIndex::build(kg))
     }
 
-    /// Builds the MLG from a prebuilt [`TieredIndex`]: homologous
-    /// matching runs by tier descent (one pass over the sorted slot
-    /// columns, no re-sort) instead of the keyed scan. The result is
-    /// byte-identical to [`MultiSourceLineGraph::build`].
+    /// Builds the MLG from a prebuilt [`TieredIndex`] over `kg`:
+    /// homologous matching reads the index's slot tier (one pass over
+    /// the sorted slot columns, no re-sort).
     pub fn build_with_index(kg: &KnowledgeGraph, index: &TieredIndex) -> Self {
-        Self::assemble(LineGraph::from_graph(kg), match_homologous_tiered(index))
-    }
-
-    fn assemble(line_graph: LineGraph, sets: HomologousSets) -> Self {
+        let line_graph = LineGraph::from_graph(kg);
+        let sets = match_homologous_tiered(index);
         let mut by_entity: FxHashMap<EntityId, Vec<u32>> = FxHashMap::default();
         for (gi, group) in sets.groups.iter().enumerate() {
             by_entity.entry(group.entity).or_default().push(gi as u32);
@@ -227,14 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_build_matches_scan_build() {
+    fn matching_equals_the_sort_oracle() {
         let kg = sample();
-        let index = TieredIndex::build(&kg);
-        let plain = MultiSourceLineGraph::build(&kg);
-        let tiered = MultiSourceLineGraph::build_with_index(&kg, &index);
-        assert_eq!(tiered.sets().groups, plain.sets().groups);
-        assert_eq!(tiered.sets().isolated, plain.sets().isolated);
-        assert_eq!(tiered.stats(), plain.stats());
+        let mlg = MultiSourceLineGraph::build(&kg);
+        let oracle = crate::homologous::match_homologous(&kg);
+        assert_eq!(mlg.sets().groups, oracle.groups);
+        assert_eq!(mlg.sets().isolated, oracle.isolated);
     }
 
     #[test]

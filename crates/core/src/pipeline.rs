@@ -3,10 +3,11 @@
 //! Given a user query, the pipeline:
 //!
 //! 1. generates a logic form via the (simulated) LLM,
-//! 2. extracts the query-relevant documents/claims — through the MLG's
-//!    slot index when MKA is enabled, or by scanning the entity's whole
-//!    neighbourhood when it is not (the `w/o MKA` ablation, which both
-//!    slows extraction dramatically and pollutes the context),
+//! 2. extracts the query-relevant documents/claims — by descending the
+//!    graph's tiered slot index when MKA is enabled, or by scanning the
+//!    entity's whole neighbourhood when it is not (the `w/o MKA`
+//!    ablation, which both slows extraction dramatically and pollutes
+//!    the context),
 //! 3. runs MCC (Algorithm 1) to obtain the trusted node set `SVs` and
 //!    the isolated/low-confidence set `LVs`,
 //! 4. generates a trustworthy answer by prompting the LLM with the
@@ -17,17 +18,15 @@
 use crate::confidence::{self, GraphConfidence, KernelCounters, MccOutcome, NodeConfidence};
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
-use crate::homologous::{
-    match_homologous, match_homologous_tiered, HomologousGroup, HomologousSets,
-};
+use crate::homologous::{match_homologous_tiered, HomologousGroup, HomologousSets};
 use crate::loopctl::{grade_supported, LadderStep, LoopConfig};
 use crate::memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
 use multirag_datasets::Query;
 use multirag_faults::{ms_to_us, FaultPlan, RetryPolicy};
 use multirag_ingest::{fuse_sources_with, Claim, IngestMode, RawSource};
 use multirag_kg::{
-    EntityId, FxHashMap, FxHashSet, KeyInterner, KnowledgeGraph, Object, RelationId, SourceId,
-    TieredIndex, TindexCounters, TripleId, Value,
+    EntityId, FxHashMap, FxHashSet, KeyInterner, KnowledgeGraph, Object, RelationId, SlotId,
+    SourceId, TieredIndex, TindexCounters, TripleId, Value,
 };
 use multirag_llmsim::halluc::GeneratedAnswer;
 use multirag_llmsim::{ContextProfile, LlmResponseCache, LlmUsage, MockLlm, Schema};
@@ -161,18 +160,16 @@ pub struct PipelineAnswer {
 #[derive(Clone)]
 pub struct MklgpPipeline<'g> {
     kg: &'g KnowledgeGraph,
-    /// The MKA homologous sets, shared with the [`GraphState`] they
-    /// came from; `None` in the w/o-MKA ablation.
-    sets: Option<Arc<HomologousSets>>,
     llm: MockLlm,
     history: HistoryStore,
     config: MultiRagConfig,
     max_degree: usize,
     quarantined: FxHashSet<SourceId>,
     obs: Option<ObsHandle>,
-    /// What aggregation cost this pipeline: homologous matching plus
-    /// the MKA feedback rounds in [`MklgpPipeline::new`], zero for a
-    /// [`MklgpPipeline::bind`] to prebuilt state.
+    /// What aggregation cost this pipeline: deriving its
+    /// [`GraphState`] plus the MKA feedback rounds in
+    /// [`MklgpPipeline::new`], zero for a [`MklgpPipeline::bind`] to
+    /// prebuilt state.
     mlg_cost: StageCost,
     memo: Option<ConfidenceMemo>,
     /// Per-graph canonical-key interner; every triple's standardized
@@ -189,11 +186,11 @@ pub struct MklgpPipeline<'g> {
     /// Pre-fused reserve claims the consult rung draws on, shared
     /// across pipeline clones.
     reserve: Option<Arc<Vec<Claim>>>,
-    /// Prebuilt tiered retrieval index (DESIGN.md §5.15). When
-    /// attached, slot extraction and homologous matching resolve by
-    /// tier descent instead of linear/keyed scans — identical answers,
-    /// sub-linear candidate cost. Shared across pipeline clones.
-    tindex: Option<Arc<TieredIndex>>,
+    /// The graph's tiered index (DESIGN.md §5.15), shared with the
+    /// [`GraphState`] it came from and across pipeline clones. MKA
+    /// extraction descends it and its slot tier holds the homologous
+    /// groups; the w/o-MKA ablation never reads it.
+    tindex: Arc<TieredIndex>,
     /// Tier-descent cost counters, flushed into the registry as deltas
     /// like `kernel`.
     tcounters: TindexCounters,
@@ -295,7 +292,7 @@ pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
 }
 
 /// What [`MklgpPipeline`] derives from its graph alone: the extraction
-/// schema, the homologous sets MKA aggregates, the largest entity
+/// schema, the tiered index MKA aggregates over, the largest entity
 /// degree and the canonical-key interner. Built once per graph and
 /// shared, so [`MklgpPipeline::bind`] costs `Arc` clones (the
 /// interner's graph keys are shared too). The serving layer carries
@@ -304,9 +301,10 @@ pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
 pub struct GraphState {
     /// Extraction schema ([`kg_schema`]), shared by every LLM clone.
     pub schema: Arc<Schema>,
-    /// Homologous groups (`SVs`) and isolated points (`LVs`) of the
-    /// graph, as [`match_homologous`] computes them.
-    pub sets: Arc<HomologousSets>,
+    /// The graph's [`TieredIndex`]: its slot tier holds the homologous
+    /// groups (`SVs`) and isolated points (`LVs`) in `(entity,
+    /// relation)` order, and MKA extraction descends it.
+    pub tindex: Arc<TieredIndex>,
     /// Largest entity degree, which node assessment (Eqs. 8–11) reads.
     pub max_degree: usize,
     /// Canonical-key interner with every triple's key precomputed
@@ -317,13 +315,13 @@ pub struct GraphState {
 }
 
 impl GraphState {
-    /// Assembles the state for `kg` from its homologous sets and an
-    /// interner already extended over it; derives the schema and the
-    /// largest degree.
-    pub fn new(kg: &KnowledgeGraph, sets: HomologousSets, keys: KeyInterner) -> Self {
+    /// Derives the state for `kg` around an interner already extended
+    /// over it: builds the tiered index, the schema and the largest
+    /// degree.
+    pub fn new(kg: &KnowledgeGraph, keys: KeyInterner) -> Self {
         Self {
             schema: Arc::new(kg_schema(kg)),
-            sets: Arc::new(sets),
+            tindex: Arc::new(TieredIndex::build(kg)),
             max_degree: kg
                 .entity_ids()
                 .map(|e| kg.neighbors(e).len())
@@ -340,14 +338,15 @@ impl GraphState {
 /// few credibility-weighted consensus rounds over the aggregated groups
 /// estimate each source's historical credibility — the `Pr^h(D)` that
 /// `Auth_hist` (Eq. 11) blends in. Without MKA this signal does not
-/// exist (part of the w/o-MKA F1 drop in Table III).
-fn seed_consensus(kg: &KnowledgeGraph, sets: &HomologousSets, history: &HistoryStore) {
-    let groups: Vec<Vec<(SourceId, String)>> = sets
-        .groups
-        .iter()
-        .map(|group| {
-            group
-                .triples
+/// exist (part of the w/o-MKA F1 drop in Table III). The groups are the
+/// slot tier's multi-claim slots, visited in `(entity, relation)` order
+/// with ascending claim ids.
+fn seed_consensus(kg: &KnowledgeGraph, index: &TieredIndex, history: &HistoryStore) {
+    let groups: Vec<Vec<(SourceId, String)>> = (0..index.slot_count() as u32)
+        .map(|slot| index.claims(SlotId(slot)))
+        .filter(|claims| claims.len() >= 2)
+        .map(|claims| {
+            claims
                 .iter()
                 .map(|&tid| {
                     let t = kg.triple(tid);
@@ -360,19 +359,20 @@ fn seed_consensus(kg: &KnowledgeGraph, sets: &HomologousSets, history: &HistoryS
                 .collect()
         })
         .collect();
-    let mut cred: FxHashMap<SourceId, f64> = FxHashMap::default();
-    let mut final_tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
+    // Per-source state lives in vectors indexed by source id, so the
+    // history store is written in source order, not in an order a
+    // hasher decides.
+    let sources = kg.source_count();
+    let mut cred: Vec<Option<f64>> = vec![None; sources];
+    let mut final_tally: Vec<(usize, usize)> = Vec::new();
     for _round in 0..3 {
-        let mut tally: FxHashMap<SourceId, (usize, usize)> = FxHashMap::default();
+        let mut tally: Vec<(usize, usize)> = vec![(0, 0); sources];
         for claims in &groups {
-            if claims.len() < 2 {
-                continue;
-            }
             // Credibility-weighted support per value.
             let mut weight: FxHashMap<&str, f64> = FxHashMap::default();
             let mut total = 0.0;
             for (source, key) in claims {
-                let w = cred.get(source).copied().unwrap_or(0.5);
+                let w = cred.get(source.index()).copied().flatten().unwrap_or(0.5);
                 *weight.entry(key.as_str()).or_insert(0.0) += w;
                 total += w;
             }
@@ -393,106 +393,68 @@ fn seed_consensus(kg: &KnowledgeGraph, sets: &HomologousSets, history: &HistoryS
                 continue;
             }
             for (source, key) in claims {
-                let entry = tally.entry(*source).or_insert((0, 0));
-                entry.1 += 1;
-                if key == best {
-                    entry.0 += 1;
+                if let Some(entry) = tally.get_mut(source.index()) {
+                    entry.1 += 1;
+                    if key == best {
+                        entry.0 += 1;
+                    }
                 }
             }
         }
-        for (source, (correct, total)) in &tally {
-            // Smoothed agreement rate.
-            cred.insert(*source, (*correct as f64 + 2.5) / (*total as f64 + 5.0));
+        // Smoothed agreement rate for every source seen this round;
+        // the others keep their previous estimate.
+        for (rate, &(correct, total)) in cred.iter_mut().zip(&tally) {
+            if total > 0 {
+                *rate = Some((correct as f64 + 2.5) / (total as f64 + 5.0));
+            }
         }
         final_tally = tally;
     }
-    for (source, (correct, total)) in final_tally {
-        history.record(source, correct, total);
+    for (source, (correct, total)) in final_tally.into_iter().enumerate() {
+        history.record(SourceId(source as u32), correct, total);
     }
 }
 
 impl<'g> MklgpPipeline<'g> {
-    /// Builds the pipeline: schema from the graph's relations and
-    /// entities, the homologous sets (unless MKA is ablated), and a
-    /// fresh history store seeded by MKA consensus feedback.
+    /// Builds the pipeline over `kg` alone: derives the graph's
+    /// [`GraphState`] (its tiered index included), seeds a fresh
+    /// history store by MKA consensus feedback over the index's slot
+    /// tier (unless MKA is ablated), then binds.
     pub fn new(kg: &'g KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
-        Self::build(kg, config, seed, None)
+        let mlg_started = WallTimer::start();
+        let state = GraphState::new(kg, KeyInterner::for_graph(kg));
+        let history = HistoryStore::new(config.history_pseudo, 0.5);
+        if config.enable_mka {
+            seed_consensus(kg, &state.tindex, &history);
+        }
+        // `mlg_build` covers deriving the graph's state (the slot index
+        // included) *and* the MKA consistency-feedback rounds.
+        let mlg_cost = StageCost {
+            wall_s: mlg_started.elapsed_s(),
+            sim_ms: 0.0,
+        };
+        Self {
+            mlg_cost,
+            ..Self::bind(kg, &state, config, seed, history)
+        }
     }
 
-    /// Builds the pipeline around a prebuilt [`TieredIndex`]: homologous
-    /// matching runs by tier descent, and slot extraction probes the
-    /// index instead of the graph's slot map. Answers are bit-identical
-    /// to [`MklgpPipeline::new`]; only the candidate-selection cost
-    /// changes (`repro_index` gates both).
-    pub fn new_with_index(
-        kg: &'g KnowledgeGraph,
-        config: MultiRagConfig,
-        seed: u64,
-        index: Arc<TieredIndex>,
-    ) -> Self {
-        Self::build(kg, config, seed, Some(index))
-    }
-
-    /// Binds a pipeline to prebuilt per-graph state, an externally
-    /// settled history store and the graph's [`TieredIndex`] — the
-    /// epoch-serving constructor. Nothing is derived from the graph:
-    /// the schema, homologous sets and interner keys are shared, and
-    /// the MKA consensus rounds are skipped because the
-    /// supplied history replaces their output. `state` must have been
-    /// built for `kg`.
+    /// Binds a pipeline to prebuilt per-graph state and an externally
+    /// settled history store — the epoch-serving constructor. Nothing
+    /// is derived from the graph: the schema, tiered index and
+    /// interner keys are shared, and the MKA consensus rounds are
+    /// skipped because the supplied history replaces their output.
+    /// `state` must have been built for `kg`.
     pub fn bind(
         kg: &'g KnowledgeGraph,
         state: &GraphState,
         config: MultiRagConfig,
         seed: u64,
         history: HistoryStore,
-        index: Arc<TieredIndex>,
-    ) -> Self {
-        Self::assemble(kg, state.clone(), config, seed, history, Some(index))
-    }
-
-    fn build(
-        kg: &'g KnowledgeGraph,
-        config: MultiRagConfig,
-        seed: u64,
-        index: Option<Arc<TieredIndex>>,
-    ) -> Self {
-        let mlg_started = WallTimer::start();
-        let sets = match (config.enable_mka, index.as_deref()) {
-            (false, _) => HomologousSets::default(),
-            (true, Some(tindex)) => match_homologous_tiered(tindex),
-            (true, None) => match_homologous(kg),
-        };
-        let history = HistoryStore::new(config.history_pseudo, 0.5);
-        if config.enable_mka {
-            seed_consensus(kg, &sets, &history);
-        }
-        // `mlg_build` covers homologous matching *and* the MKA
-        // consistency-feedback rounds — the full cost of having
-        // aggregation (zero in the w/o-MKA ablation).
-        let mlg_cost = StageCost {
-            wall_s: mlg_started.elapsed_s(),
-            sim_ms: 0.0,
-        };
-        let state = GraphState::new(kg, sets, KeyInterner::for_graph(kg));
-        Self {
-            mlg_cost,
-            ..Self::assemble(kg, state, config, seed, history, index)
-        }
-    }
-
-    fn assemble(
-        kg: &'g KnowledgeGraph,
-        state: GraphState,
-        config: MultiRagConfig,
-        seed: u64,
-        history: HistoryStore,
-        index: Option<Arc<TieredIndex>>,
     ) -> Self {
         Self {
             kg,
-            sets: config.enable_mka.then_some(state.sets),
-            llm: MockLlm::new(state.schema, seed),
+            llm: MockLlm::new(state.schema.clone(), seed),
             history,
             config,
             max_degree: state.max_degree,
@@ -500,12 +462,12 @@ impl<'g> MklgpPipeline<'g> {
             obs: None,
             mlg_cost: StageCost::default(),
             memo: None,
-            keys: state.keys,
+            keys: state.keys.clone(),
             kernel: KernelCounters::default(),
             flushed: (0, 0, 0, 0),
             loopcfg: None,
             reserve: None,
-            tindex: index,
+            tindex: state.tindex.clone(),
             tcounters: TindexCounters::default(),
             flushed_tindex: TindexCounters::default(),
         }
@@ -531,10 +493,12 @@ impl<'g> MklgpPipeline<'g> {
             wall_s: self.mlg_cost.wall_s,
             sim_ms: self.mlg_cost.sim_ms,
             input: self.kg.triple_count(),
-            output: self
-                .sets
-                .as_ref()
-                .map_or(0, |sets| sets.groups.len() + sets.isolated.len()),
+            // Groups plus isolated points: one per slot.
+            output: if self.config.enable_mka {
+                self.tindex.slot_count()
+            } else {
+                0
+            },
         });
         self.obs = Some(obs);
         self
@@ -635,14 +599,15 @@ impl<'g> MklgpPipeline<'g> {
         &self.history
     }
 
-    /// The homologous groups of the MKA slot index, in `(entity,
-    /// relation)` order. Empty when MKA is ablated — there is no
-    /// aggregated index to fan out over.
-    pub fn slot_groups(&self) -> &[HomologousGroup] {
-        self.sets
-            .as_ref()
-            .map(|sets| sets.groups.as_slice())
-            .unwrap_or(&[])
+    /// The homologous groups of the tiered index's slot tier, in
+    /// `(entity, relation)` order. Empty when MKA is ablated — there is
+    /// no aggregated index to fan out over.
+    pub fn slot_groups(&self) -> Vec<HomologousGroup> {
+        if self.config.enable_mka {
+            match_homologous_tiered(&self.tindex).groups
+        } else {
+            Vec::new()
+        }
     }
 
     /// Snapshot of the kernel op counters accumulated by this pipeline.
@@ -650,15 +615,10 @@ impl<'g> MklgpPipeline<'g> {
         self.kernel
     }
 
-    /// Snapshot of the tier-descent cost counters (all zero when no
-    /// tiered index is attached).
+    /// Snapshot of the tier-descent cost counters (all zero in the
+    /// w/o-MKA ablation, which scans instead of descending).
     pub fn tindex_counters(&self) -> TindexCounters {
         self.tcounters
-    }
-
-    /// The attached tiered retrieval index, if any.
-    pub fn tindex(&self) -> Option<&Arc<TieredIndex>> {
-        self.tindex.as_ref()
     }
 
     /// Canonical-key interner statistics: `(hits, misses)`. Hits
@@ -1524,22 +1484,17 @@ impl<'g> MklgpPipeline<'g> {
         }
     }
 
-    /// Extraction step: MKA path (slot-index probe) vs the unaggregated
+    /// Extraction step: MKA path (tier descent) vs the unaggregated
     /// scan. Returns `(slot_triples, noise_triples, examined_count)`.
     fn extract(
         &mut self,
         entity: EntityId,
         relation: RelationId,
     ) -> (Vec<TripleId>, Vec<TripleId>, usize) {
-        if self.sets.is_some() {
-            // MKA: O(slot) probe — tier descent through the prebuilt
-            // index when one is attached (entity lookup → slot bitset
-            // → claim postings), otherwise the graph's slot map. Both
-            // return the same ascending-id claim set.
-            let slot = match self.tindex.as_ref() {
-                Some(index) => index.descend(entity, relation, &mut self.tcounters),
-                None => self.kg.slot_triples(entity, relation).to_vec(),
-            };
+        if self.config.enable_mka {
+            // MKA: O(entity span) probe — entity lookup → relation
+            // bitset → the slot's ascending-id claim postings.
+            let slot = self.tindex.descend(entity, relation, &mut self.tcounters);
             let examined = slot.len();
             (slot, Vec::new(), examined)
         } else {
@@ -1820,22 +1775,25 @@ mod tests {
     }
 
     #[test]
-    fn tiered_index_pipeline_is_answer_identical() {
+    fn mka_descends_the_slot_tier_and_the_ablation_does_not() {
         let data = dataset();
-        let index = Arc::new(TieredIndex::build(&data.graph));
-        let mut plain = MklgpPipeline::new(&data.graph, MultiRagConfig::default(), 42);
-        let mut tiered =
-            MklgpPipeline::new_with_index(&data.graph, MultiRagConfig::default(), 42, index);
+        let mut mka = MklgpPipeline::new(&data.graph, MultiRagConfig::default(), 42);
+        let mut ablated =
+            MklgpPipeline::new(&data.graph, MultiRagConfig::default().without_mka(), 42);
+        assert_eq!(
+            mka.slot_groups(),
+            crate::homologous::match_homologous(&data.graph).groups
+        );
+        assert!(ablated.slot_groups().is_empty());
         for query in &data.queries {
-            let a = plain.answer(query);
-            let b = tiered.answer(query);
-            assert_eq!(a.fusion_values, b.fusion_values, "query {}", query.key());
-            assert_eq!(a.abstained, b.abstained);
-            assert_eq!(a.examined, b.examined);
+            mka.answer(query);
+            ablated.answer(query);
         }
-        let counters = tiered.tindex_counters();
-        assert!(counters.tier_descents > 0, "descents must be counted");
-        assert_eq!(plain.tindex_counters(), TindexCounters::default());
+        assert!(
+            mka.tindex_counters().tier_descents > 0,
+            "descents must be counted"
+        );
+        assert_eq!(ablated.tindex_counters(), TindexCounters::default());
     }
 
     #[test]

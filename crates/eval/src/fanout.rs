@@ -20,12 +20,12 @@
 use crate::harness::MethodResult;
 use crate::metrics::SetScores;
 use crate::parallel::parallel_map_with;
-use crate::timing::{Stopwatch, TimeReport};
-use multirag_core::{HomologousGroup, KernelCounters, MccOutcome, MklgpPipeline, MultiRagConfig};
+use crate::timing::TimeReport;
+use multirag_core::{KernelCounters, MccOutcome, MklgpPipeline, MultiRagConfig};
 use multirag_datasets::spec::MultiSourceDataset;
 use multirag_kg::KnowledgeGraph;
 use multirag_llmsim::LlmUsage;
-use multirag_obs::ObsHandle;
+use multirag_obs::{ObsHandle, WallTimer};
 
 /// The result of a parallel slot-level MCC sweep: outcomes in slot
 /// order plus the merge-reduced usage and kernel counters.
@@ -45,9 +45,8 @@ pub struct MccSweep {
 /// stream, own interner, shared history snapshot); outcomes come back
 /// in slot order and are byte-identical at any worker count.
 pub fn mcc_sweep(pipeline: &MklgpPipeline<'_>, workers: usize) -> MccSweep {
-    let groups: Vec<HomologousGroup> = pipeline.slot_groups().to_vec();
     let cells = parallel_map_with(
-        groups,
+        pipeline.slot_groups(),
         workers.max(1),
         |_worker| pipeline.mcc_worker(),
         |worker, group| {
@@ -91,13 +90,14 @@ pub fn run_multirag_fanout(
     workers: usize,
     obs: Option<ObsHandle>,
 ) -> MethodResult {
-    let mut watch = Stopwatch::start();
+    let watch = WallTimer::start();
     let base = MklgpPipeline::new(graph, config, seed);
     // Freeze credibility for the sweep: every worker sees the
     // consensus-seeded snapshot, so answers are pure functions of the
     // query — not of which clone answered what first.
     base.history().freeze();
-    let prepare_wall = watch.lap_s();
+    let prepare_wall = watch.elapsed_s();
+    let watch = WallTimer::start();
 
     let cells = parallel_map_with(
         data.queries.clone(),
@@ -109,7 +109,7 @@ pub fn run_multirag_fanout(
             (answer, trace, pipeline.llm().usage())
         },
     );
-    let query_wall = watch.lap_s();
+    let query_wall = watch.elapsed_s();
 
     let mut scores = SetScores::default();
     let mut usage = LlmUsage::default();

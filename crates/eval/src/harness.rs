@@ -5,13 +5,14 @@
 //! deterministic given `(dataset, seed)`.
 
 use crate::metrics::{recall_at_k, SetScores};
-use crate::timing::{Stopwatch, TimeReport};
+use crate::timing::TimeReport;
 use multirag_baselines::common::FusionMethod;
 use multirag_baselines::multihop::MultiHopMethod;
 use multirag_core::{MklgpPipeline, MultiRagConfig, MultiRagQa};
 use multirag_datasets::multihop::MultiHopDataset;
 use multirag_datasets::spec::MultiSourceDataset;
-use multirag_kg::{KnowledgeGraph, TieredIndex};
+use multirag_kg::KnowledgeGraph;
+use multirag_obs::WallTimer;
 use multirag_retrieval::text::normalize_mention;
 
 /// One Table II / Table III row.
@@ -49,9 +50,10 @@ pub fn run_fusion_method(
     graph: &KnowledgeGraph,
     method: &mut dyn FusionMethod,
 ) -> MethodResult {
-    let mut watch = Stopwatch::start();
+    let watch = WallTimer::start();
     method.prepare(graph);
-    let prepare_wall = watch.lap_s();
+    let prepare_wall = watch.elapsed_s();
+    let watch = WallTimer::start();
     let sim_before = method.simulated_ms();
 
     let mut scores = SetScores::default();
@@ -67,7 +69,7 @@ pub fn run_fusion_method(
             answered += 1;
         }
     }
-    let query_wall = watch.lap_s();
+    let query_wall = watch.elapsed_s();
     let sim_total = (method.simulated_ms() - sim_before) / 1000.0;
     let n = data.queries.len().max(1);
     MethodResult {
@@ -110,18 +112,13 @@ pub fn run_multirag_observed(
     seed: u64,
     obs: Option<multirag_obs::ObsHandle>,
 ) -> MethodResult {
-    let mut watch = Stopwatch::start();
-    // The tiered index (DESIGN.md §5.15) is built once per run and
-    // attached to the pipeline: slot extraction and homologous
-    // matching resolve by tier descent. Answers are bit-identical to
-    // the plain constructor; the build cost lands in PT wall time,
-    // which is excluded from every byte-stable artifact.
-    let index = std::sync::Arc::new(TieredIndex::build(graph));
-    let mut pipeline = MklgpPipeline::new_with_index(graph, config, seed, index);
+    let watch = WallTimer::start();
+    let mut pipeline = MklgpPipeline::new(graph, config, seed);
     if let Some(obs) = obs {
         pipeline = pipeline.with_observer(obs);
     }
-    let prepare_wall = watch.lap_s();
+    let prepare_wall = watch.elapsed_s();
+    let watch = WallTimer::start();
 
     let mut scores = SetScores::default();
     let mut hallucinated = 0usize;
@@ -138,7 +135,7 @@ pub fn run_multirag_observed(
             answered += 1;
         }
     }
-    let query_wall = watch.lap_s();
+    let query_wall = watch.elapsed_s();
     let usage = pipeline.llm().usage();
     let n = data.queries.len().max(1);
     MethodResult {
@@ -183,7 +180,7 @@ pub fn run_multihop_method(
     data: &MultiHopDataset,
     method: &mut dyn MultiHopMethod,
 ) -> MultiHopResult {
-    let watch = Stopwatch::start();
+    let watch = WallTimer::start();
     let sim_before = method.simulated_ms();
     let mut correct = 0usize;
     let mut answered = 0usize;
@@ -222,7 +219,7 @@ pub fn run_multirag_multihop(
     config: MultiRagConfig,
     seed: u64,
 ) -> MultiHopResult {
-    let watch = Stopwatch::start();
+    let watch = WallTimer::start();
     let mut qa = MultiRagQa::new(data, config, seed);
     let mut correct = 0usize;
     let mut answered = 0usize;

@@ -8,9 +8,9 @@
 //!
 //! * [`metrics`] — precision / recall / F1 over answer-value sets,
 //!   Recall@K over evidence documents, aggregation.
-//! * [`timing`] — wall-clock stopwatch plus the simulated-LLM time
-//!   model (see EXPERIMENTS.md for how QT and PT map to the paper's
-//!   time columns).
+//! * [`timing`] — the wall + simulated-LLM time report (see
+//!   EXPERIMENTS.md for how QT and PT map to the paper's time
+//!   columns).
 //! * [`harness`] — runners that evaluate a fusion method / the MKLGP
 //!   pipeline / a multi-hop method over a dataset and return one
 //!   [`harness::MethodResult`] row.

@@ -9,36 +9,9 @@
 //!   mock does not).
 //!
 //! The repro binaries report `wall + simulated` as the paper-style
-//! time columns and note the decomposition in EXPERIMENTS.md.
-
-use std::time::Instant;
-
-/// A simple stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing.
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed seconds.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Restarts, returning the lap's seconds.
-    pub fn lap_s(&mut self) -> f64 {
-        let s = self.elapsed_s();
-        self.start = Instant::now();
-        s
-    }
-}
+//! time columns and note the decomposition in EXPERIMENTS.md. Wall time
+//! is read through [`multirag_obs::WallTimer`]; this module only
+//! combines the two components.
 
 /// Combined time report.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -93,16 +66,6 @@ impl std::ops::Add for TimeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_measures_nonnegative_time() {
-        let mut sw = Stopwatch::start();
-        let a = sw.elapsed_s();
-        assert!(a >= 0.0);
-        let lap = sw.lap_s();
-        assert!(lap >= a);
-        assert!(sw.elapsed_s() < lap + 1.0);
-    }
 
     #[test]
     fn report_totals() {

@@ -24,9 +24,10 @@
 //!   degree statistics used by the homologous-subgraph matcher.
 //! * [`persist`] — a line-oriented dump/load format so aggregated
 //!   graphs can be snapshotted and reloaded without re-ingestion.
-//! * [`tindex`] — the hierarchical tiered retrieval index: a columnar,
-//!   arena-backed triple store with entity → attribute-slot → claim
-//!   tiers and bitset adjacency, so candidate selection resolves by
+//! * [`tindex`] — the hierarchical tiered index, the one slot
+//!   structure derived per graph: entity → attribute-slot → claim tiers
+//!   in flat arenas plus per-relation claim bitsets, so homologous
+//!   groups read off the slot tier and candidate selection resolves by
 //!   tier descent instead of linear scans (DESIGN.md §5.15).
 //!
 //! The crate has no dependencies and is fully deterministic.

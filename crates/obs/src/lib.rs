@@ -37,8 +37,8 @@ pub use metrics::{
 };
 pub use observer::{ObsHandle, Observer, StageProfile};
 pub use slo::{
-    Attribution, AttributionRow, Completion, Exemplar, LatencyParts, LogHistogram, SloEngine,
-    SloOutcome, SloSpec,
+    nearest_rank, Attribution, AttributionRow, Completion, Exemplar, LatencyParts, LogHistogram,
+    SloEngine, SloOutcome, SloSpec,
 };
 pub use trace::{
     traces_json, AnswerProvenance, QueryTrace, SourceContribution, Stage, StageCost, StageSpan,

@@ -153,7 +153,7 @@ impl LogHistogram {
     /// Nearest-rank quantile with a **one-bucket error bound**.
     ///
     /// `percent` is an integer percentile in `[0, 100]`; the rank is
-    /// the same pure-integer ceiling the serving simulator uses
+    /// the same pure-integer ceiling as [`nearest_rank`]
     /// (`⌈count·p/100⌉`, clamped to `[1, count]`). The walk finds the
     /// bucket containing the rank-th smallest observation and returns
     /// that bucket's upper bound (clamped to the recorded maximum).
@@ -178,6 +178,21 @@ impl LogHistogram {
         }
         self.max_us
     }
+}
+
+/// Exact nearest-rank percentile over an ascending-sorted sample, in
+/// the sample's own unit — the rank [`LogHistogram::quantile_us`]
+/// approximates. Pure integer ceiling rank — `⌈n·p/100⌉` clamped to
+/// `[1, n]` — so rank selection cannot drift on float rounding.
+/// Returns 0 for an empty sample.
+pub fn nearest_rank(sorted: &[u64], percent: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let n = sorted.len() as u64;
+    let rank = (n * percent).div_ceil(100);
+    let idx = (rank.clamp(1, n) - 1) as usize;
+    sorted.get(idx).copied().unwrap_or(0)
 }
 
 /// SplitMix64 — the deterministic query-id hash behind exemplar
@@ -902,9 +917,7 @@ mod tests {
         }
         samples.sort_unstable();
         for percent in [50u64, 95, 99] {
-            let rank = (samples.len() as u64 * percent).div_ceil(100);
-            let rank = rank.clamp(1, samples.len() as u64) as usize;
-            let exact = samples[rank - 1];
+            let exact = nearest_rank(&samples, percent);
             let approx = h.quantile_us(percent);
             let diff = i32::from(bucket_of(approx)).abs_diff(i32::from(bucket_of(exact)));
             assert!(
@@ -912,6 +925,19 @@ mod tests {
                 "p{percent}: approx {approx} vs exact {exact} ({diff} buckets apart)"
             );
         }
+    }
+
+    #[test]
+    fn nearest_rank_matches_hand_computation() {
+        let sorted = vec![10, 20, 30, 40];
+        assert_eq!(nearest_rank(&sorted, 50), 20);
+        assert_eq!(nearest_rank(&sorted, 95), 40);
+        assert_eq!(nearest_rank(&sorted, 100), 40);
+        assert_eq!(nearest_rank(&sorted, 0), 10);
+        assert_eq!(nearest_rank(&[], 50), 0);
+        // Integer ceiling rank: 101 samples, p99 → rank ⌈101·99/100⌉ = 100.
+        let big: Vec<u64> = (1..=101).collect();
+        assert_eq!(nearest_rank(&big, 99), 100);
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! (Table IV) and the unstructured-data path both need a classical
 //! retriever; this crate implements it from scratch:
 //!
-//! * [`candidates`] — index-backed slot-candidate narrowing: tier
-//!   descent through the `kg::tindex` tiered index with the original
-//!   linear scan retained as the reference oracle.
 //! * [`text`] — tokenization (lowercased alphanumeric words), stopword
 //!   filtering and light stemming.
 //! * [`vocab`] — a term dictionary with document frequencies.
@@ -21,7 +18,6 @@
 //! * [`topk`] — heap-based top-k selection.
 
 pub mod bm25;
-pub mod candidates;
 pub mod chunker;
 pub mod embed;
 pub mod index;
@@ -31,7 +27,6 @@ pub mod topk;
 pub mod vocab;
 
 pub use bm25::Bm25Index;
-pub use candidates::{narrow_slot, CandidateReport, CandidateStrategy};
 pub use chunker::{chunk_text, Chunk, ChunkerOptions};
 pub use embed::{Embedding, HashEmbedder};
 pub use index::{DocId, InvertedIndex, Posting};

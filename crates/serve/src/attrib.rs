@@ -22,7 +22,8 @@ use crate::engine::{ServeResponse, ServeVerdict, RESULT_CACHE_HIT_MS, SERVE_OVER
 use crate::simloop::RequestTiming;
 use crate::workload::ServeRequest;
 use multirag_obs::slo::{
-    Attribution, LatencyParts, COMPONENT_CACHE, COMPONENT_OVERHEAD, COMPONENT_QUEUE_WAIT,
+    nearest_rank, Attribution, LatencyParts, COMPONENT_CACHE, COMPONENT_OVERHEAD,
+    COMPONENT_QUEUE_WAIT,
 };
 use multirag_obs::QueryTrace;
 
@@ -130,18 +131,6 @@ pub struct AttributionOutcome {
     pub latency_total_us: u64,
 }
 
-/// Exact integer nearest-rank over an ascending sample (same ceiling
-/// rank as the simulator's percentile selection).
-fn exact_rank(sorted: &[u64], percent: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * percent).div_ceil(100);
-    let idx = (rank.clamp(1, n) - 1) as usize;
-    sorted.get(idx).copied().unwrap_or(0)
-}
-
 /// Decomposes every served request's latency and aggregates the table.
 /// `costs[i]` and `timings[i]` must describe the same request; the
 /// tail is latency ≥ the **exact** nearest-rank p99 (not the
@@ -154,7 +143,7 @@ pub fn attribute(costs: &[RequestCost], timings: &[RequestTiming]) -> Attributio
         .map(RequestTiming::latency_us)
         .collect();
     latencies.sort_unstable();
-    let p99_cut_us = exact_rank(&latencies, 99);
+    let p99_cut_us = nearest_rank(&latencies, 99);
     let latency_total_us: u64 = latencies.iter().sum();
 
     let mut table = Attribution::new();

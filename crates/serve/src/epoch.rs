@@ -4,7 +4,8 @@
 //! [`IndexWriter`] applying streamed triple updates and folding in
 //! serving feedback) from the *immutable* world queries actually read
 //! (an [`EpochSnapshot`] bundling the knowledge graph, the per-graph
-//! pipeline state, the tiered index and a frozen credibility store).
+//! pipeline state — its tiered index included — and a frozen
+//! credibility store).
 //! Publishing swaps one `Arc` behind a short write lock;
 //! readers clone the `Arc` and keep answering from the old epoch until
 //! they next call [`EpochIndex::load`] — they never block on the
@@ -13,20 +14,23 @@
 //! The epoch protocol (DESIGN.md §5.8):
 //!
 //! 1. between publishes the writer applies [`TripleUpdate`]s to its
-//!    private graph and [`IncrementalMlg`], and absorbs per-source
-//!    feedback tallies reported by the engine;
+//!    private graph, and absorbs per-source feedback tallies reported
+//!    by the engine;
 //! 2. `publish` folds the accumulated feedback into the (thawed)
 //!    credibility store in sorted source order — deterministic no
 //!    matter how the serving threads interleaved — then freezes a clone
 //!    of it into the new snapshot, next to the epoch's [`GraphState`]
-//!    (its canonical-key interner extended over the triples applied
-//!    since the last publish, not rebuilt);
+//!    (a [`TieredIndex`] built over the graph, and the canonical-key
+//!    interner extended over the triples applied since the last
+//!    publish, not rebuilt);
 //! 3. the serving layer clears the epoch-scoped caches (result cache,
 //!    MCC memo) on swap; the content-addressed LLM response cache
 //!    survives because its keys hash every operand.
+//!
+//! [`TieredIndex`]: multirag_kg::TieredIndex
 
-use multirag_core::{GraphState, HistoryStore, IncrementalMlg, MklgpPipeline, MultiRagConfig};
-use multirag_kg::{persist, FxHashMap, KeyInterner, KnowledgeGraph, SourceId, TieredIndex, Value};
+use multirag_core::{GraphState, HistoryStore, MklgpPipeline, MultiRagConfig};
+use multirag_kg::{persist, FxHashMap, KeyInterner, KnowledgeGraph, SourceId, Value};
 use multirag_obs::MetricsRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -56,9 +60,10 @@ pub struct EpochSnapshot {
     /// The knowledge graph as of this epoch.
     pub graph: KnowledgeGraph,
     /// What every pipeline bound to this epoch shares, built once at
-    /// publish: the extraction schema, the homologous sets (what the
-    /// batch matcher would produce over [`EpochSnapshot::graph`]), the
-    /// largest degree and the canonical-key interner, which equals
+    /// publish: the extraction schema, the `TieredIndex` over
+    /// [`EpochSnapshot::graph`] (whose slot tier holds the homologous
+    /// groups and which every worker descends), the largest degree and
+    /// the canonical-key interner, which equals
     /// [`KeyInterner::for_graph`] over the graph.
     pub state: GraphState,
     /// Frozen source-credibility store: `record` is a no-op, so every
@@ -70,10 +75,6 @@ pub struct EpochSnapshot {
     pub seed: u64,
     /// Updates applied since the previous epoch.
     pub updates_applied: u64,
-    /// Prebuilt tiered retrieval index over [`EpochSnapshot::graph`]
-    /// (DESIGN.md §5.15), shared by every pipeline bound to this
-    /// epoch: built once at publish, descended by all workers.
-    pub tindex: Arc<TieredIndex>,
 }
 
 impl EpochSnapshot {
@@ -81,8 +82,8 @@ impl EpochSnapshot {
     /// frozen credibility store installed. Callers layer caches, fault
     /// plans and retry policies on top. Binding derives nothing from
     /// the graph ([`MklgpPipeline::bind`]): it shares the epoch's
-    /// schema, homologous sets, interner keys and [`TieredIndex`],
-    /// copies the history, and never runs the MKA consensus rounds —
+    /// schema, `TieredIndex` and interner keys, copies the history,
+    /// and never runs the MKA consensus rounds —
     /// whose output the frozen store replaces anyway. A cluster
     /// spinning up one pipeline per (node, worker) pair pays that copy
     /// and nothing else.
@@ -93,7 +94,6 @@ impl EpochSnapshot {
             self.config,
             self.seed,
             self.history.clone(),
-            self.tindex.clone(),
         )
     }
 }
@@ -143,12 +143,13 @@ impl EpochIndex {
     }
 }
 
-/// The single writer: owns the evolving graph, the streamed homologous
-/// index, the thawed credibility store, the canonical-key interner and
-/// the feedback accumulated since the last publish.
+/// The single writer: owns the evolving graph, the thawed credibility
+/// store, the canonical-key interner and the feedback accumulated
+/// since the last publish. It keeps no slot structure of its own: the
+/// graph's slot map answers [`IndexWriter::apply`], and each publish
+/// builds the epoch's `TieredIndex`.
 pub struct IndexWriter {
     graph: KnowledgeGraph,
-    index: IncrementalMlg,
     history: HistoryStore,
     /// Covers the graph as of the last publish; extended over the
     /// triples applied since at the next one.
@@ -171,7 +172,6 @@ impl IndexWriter {
         let seeded = MklgpPipeline::new(&graph, config, seed);
         let history = seeded.history().clone();
         let keys = seeded.key_interner().clone();
-        let index = IncrementalMlg::from_graph(&graph);
         let sources: FxHashMap<String, SourceId> = (0..graph.source_count())
             .map(|i| {
                 let id = SourceId(i as u32);
@@ -186,7 +186,6 @@ impl IndexWriter {
         };
         Self {
             graph,
-            index,
             history,
             keys,
             sources,
@@ -225,8 +224,9 @@ impl IndexWriter {
         self.epoch
     }
 
-    /// Applies one streamed triple, keeping the homologous index in
-    /// sync. Returns the slot's updated homologous cardinality.
+    /// Applies one streamed triple. Returns the slot's updated
+    /// homologous cardinality (1 = isolated, ≥ 2 = homologous group),
+    /// which the next snapshot's slot tier will show.
     pub fn apply(&mut self, update: &TripleUpdate) -> usize {
         let source = *self
             .sources
@@ -237,11 +237,10 @@ impl IndexWriter {
             });
         let entity = self.graph.add_entity(&update.entity, &self.domain);
         let relation = self.graph.add_relation(&update.relation);
-        let tid =
-            self.graph
-                .add_triple(entity, relation, update.value.clone(), source, update.chunk);
+        self.graph
+            .add_triple(entity, relation, update.value.clone(), source, update.chunk);
         self.updates_since_publish += 1;
-        self.index.insert(entity, relation, source, tid)
+        self.graph.slot_triples(entity, relation).len()
     }
 
     /// Absorbs per-source `(correct, total)` feedback tallies from a
@@ -258,8 +257,8 @@ impl IndexWriter {
     /// Folds pending feedback into the credibility store (the
     /// `BTreeMap` yields source order by construction — deterministic
     /// regardless of serving interleavings), extends the interner over
-    /// the newly applied triples and publishes a new immutable
-    /// snapshot.
+    /// the newly applied triples, builds the epoch's `TieredIndex`
+    /// and publishes a new immutable snapshot.
     pub fn publish(&mut self) -> Arc<EpochSnapshot> {
         self.history.thaw();
         for (source, (correct, total)) in std::mem::take(&mut self.feedback) {
@@ -272,12 +271,11 @@ impl IndexWriter {
         let snapshot = EpochSnapshot {
             epoch: self.epoch,
             graph: self.graph.clone(),
-            state: GraphState::new(&self.graph, self.index.to_sets(), self.keys.clone()),
+            state: GraphState::new(&self.graph, self.keys.clone()),
             history,
             config: self.config,
             seed: self.seed,
             updates_applied: self.updates_since_publish,
-            tindex: Arc::new(TieredIndex::build(&self.graph)),
         };
         self.updates_since_publish = 0;
         Arc::new(snapshot)
@@ -294,6 +292,7 @@ impl IndexWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multirag_core::{match_homologous, match_homologous_tiered};
     use multirag_datasets::movies::MoviesSpec;
 
     fn writer() -> IndexWriter {
@@ -333,7 +332,6 @@ mod tests {
     fn applied_updates_land_in_graph_and_index() {
         let mut writer = writer();
         let before = writer.graph().triple_count();
-        let groups_before = writer.index.group_count();
         let slot_entity = writer
             .graph()
             .entity_name(multirag_kg::EntityId(0))
@@ -355,13 +353,13 @@ mod tests {
         });
         assert_eq!(cardinality, 2, "second source makes it homologous");
         assert_eq!(writer.graph().triple_count(), before + 2);
-        assert_eq!(writer.index.group_count(), groups_before + 1);
         let snap = writer.publish();
         assert_eq!(snap.updates_applied, 2);
-        // The snapshot's sets agree with a from-scratch rebuild.
-        let rebuilt = IncrementalMlg::from_graph(&snap.graph).to_sets();
-        assert_eq!(snap.state.sets.groups, rebuilt.groups);
-        assert_eq!(snap.state.sets.isolated, rebuilt.isolated);
+        // The snapshot's slot tier agrees with the batch matcher.
+        let tiered = match_homologous_tiered(&snap.state.tindex);
+        let batch = match_homologous(&snap.graph);
+        assert_eq!(tiered.groups, batch.groups);
+        assert_eq!(tiered.isolated, batch.isolated);
     }
 
     #[test]

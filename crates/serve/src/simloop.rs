@@ -26,6 +26,7 @@
 //! submitted/started/completed stamps the SLO layer's windowing and
 //! tail attribution consume.
 
+use multirag_obs::nearest_rank;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -102,19 +103,6 @@ enum Event {
     },
     /// A client submits its next request (or retires if none remain).
     Arrive { client: usize },
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample, in the
-/// sample's own unit. Pure integer ceiling rank — `⌈n·p/100⌉` clamped
-/// to `[1, n]` — so rank selection cannot drift on float rounding.
-fn nearest_rank(sorted: &[u64], percent: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * percent).div_ceil(100);
-    let idx = (rank.clamp(1, n) - 1) as usize;
-    sorted.get(idx).copied().unwrap_or(0)
 }
 
 /// Runs the closed loop: `concurrency` clients replay `service_us`
@@ -358,19 +346,6 @@ mod tests {
         let a = closed_loop(&service, 6, 2, 4);
         let b = closed_loop(&service, 6, 2, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn nearest_rank_matches_hand_computation() {
-        let sorted = vec![10, 20, 30, 40];
-        assert_eq!(nearest_rank(&sorted, 50), 20);
-        assert_eq!(nearest_rank(&sorted, 95), 40);
-        assert_eq!(nearest_rank(&sorted, 100), 40);
-        assert_eq!(nearest_rank(&sorted, 0), 10);
-        assert_eq!(nearest_rank(&[], 50), 0);
-        // Integer ceiling rank: 101 samples, p99 → rank ⌈101·99/100⌉ = 100.
-        let big: Vec<u64> = (1..=101).collect();
-        assert_eq!(nearest_rank(&big, 99), 100);
     }
 
     #[test]

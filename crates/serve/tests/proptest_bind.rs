@@ -1,23 +1,32 @@
-//! Binding equivalence across publishes: a pipeline bound to a
-//! published snapshot ([`EpochSnapshot::pipeline`], which shares the
-//! state the writer maintains incrementally) answers every query
-//! exactly like a pipeline built from scratch on the snapshot's graph —
-//! batch homologous matching, a fresh interner, schema and tiered index
-//! — with the snapshot's frozen history, after random streams of
-//! updates. The snapshot's interner must also equal
-//! [`KeyInterner::for_graph`] over its graph: answers alone cannot show
-//! a stale interner, because profile building falls back to computing
-//! keys, so only its symbols and hit/miss counters would drift.
+//! Streamed updates at the epoch level. After random streams of
+//! updates, every published snapshot must agree with a from-scratch
+//! build over its own graph:
+//!
+//! * its slot tier equals the sort-based batch matcher
+//!   ([`match_homologous`]), and every [`IndexWriter::apply`] return
+//!   equals that slot's claim count in the next snapshot — streamed ==
+//!   batch, on the structure that actually serves;
+//! * a pipeline bound to it ([`EpochSnapshot::pipeline`]) answers
+//!   every query exactly like one bound to fresh state — a fresh
+//!   interner, schema and tiered index — with the snapshot's frozen
+//!   history;
+//! * its interner equals [`KeyInterner::for_graph`] over its graph:
+//!   answers alone cannot show a stale interner, because profile
+//!   building falls back to computing keys, so only its symbols and
+//!   hit/miss counters would drift.
 
-use multirag_core::{match_homologous, GraphState, MklgpPipeline, MultiRagConfig};
+use multirag_core::{
+    match_homologous, match_homologous_tiered, GraphState, MklgpPipeline, MultiRagConfig,
+};
 use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::spec::Scale;
 use multirag_datasets::{MultiSourceDataset, Query};
-use multirag_kg::{EntityId, KeyInterner, RelationId, SourceId, Symbol, TieredIndex, TripleId};
+use multirag_kg::{EntityId, KeyInterner, RelationId, SourceId, Symbol, TindexCounters, TripleId};
 use multirag_kg::{KnowledgeGraph, Value};
 use multirag_serve::{EpochSnapshot, IndexWriter, TripleUpdate};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 const SEED: u64 = 42;
 
@@ -125,16 +134,32 @@ fn assert_same_interner(
     Ok(())
 }
 
+/// Claims of the `(entity, relation)` slot in the snapshot's slot
+/// tier (0 when either name is unknown).
+fn tier_claims(snap: &EpochSnapshot, entity: &str, relation: &str) -> usize {
+    let graph = &snap.graph;
+    let domain = graph.resolve(graph.source(SourceId(0)).domain);
+    match (
+        graph.find_entity(entity, domain),
+        graph.find_relation(relation),
+    ) {
+        (Some(e), Some(r)) => {
+            let mut counters = TindexCounters::default();
+            snap.state.tindex.descend(e, r, &mut counters).len()
+        }
+        _ => 0,
+    }
+}
+
 fn check_snapshot(snap: &EpochSnapshot, queries: &[Query]) -> Result<(), TestCaseError> {
     let graph = &snap.graph;
-    let fresh = GraphState::new(
-        graph,
-        match_homologous(graph),
-        KeyInterner::for_graph(graph),
-    );
+    let tiered = match_homologous_tiered(&snap.state.tindex);
+    let batch = match_homologous(graph);
+    prop_assert_eq!(&tiered.groups, &batch.groups);
+    prop_assert_eq!(&tiered.isolated, &batch.isolated);
+
+    let fresh = GraphState::new(graph, KeyInterner::for_graph(graph));
     assert_same_interner(&snap.state.keys, &fresh.keys, graph.triple_count())?;
-    prop_assert_eq!(&snap.state.sets.groups, &fresh.sets.groups);
-    prop_assert_eq!(&snap.state.sets.isolated, &fresh.sets.isolated);
     prop_assert_eq!(snap.state.max_degree, fresh.max_degree);
     prop_assert_eq!(snap.state.schema.fingerprint(), fresh.schema.fingerprint());
 
@@ -145,7 +170,6 @@ fn check_snapshot(snap: &EpochSnapshot, queries: &[Query]) -> Result<(), TestCas
         MultiRagConfig::default(),
         SEED,
         snap.history.clone(),
-        Arc::new(TieredIndex::build(graph)),
     );
     for query in queries {
         prop_assert_eq!(bound.answer(query), scratch.answer(query));
@@ -158,8 +182,10 @@ fn check_snapshot(snap: &EpochSnapshot, queries: &[Query]) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every publish of a random update stream binds pipelines that
-    /// answer like from-scratch ones, with an interner equal to a
+    /// Every publish of a random update stream serves a slot tier
+    /// equal to batch matching, with each `apply` return equal to the
+    /// slot's claim count in the next snapshot, and binds pipelines
+    /// that answer like from-scratch ones, with an interner equal to a
     /// fresh `for_graph` build.
     #[test]
     fn bound_snapshots_match_from_scratch_pipelines(specs in batches()) {
@@ -168,12 +194,24 @@ proptest! {
         check_snapshot(&writer.publish(), &data.queries)?;
         let mut applied = Vec::new();
         for batch in &specs {
+            // Last `apply` return per slot in this batch; returns for
+            // one slot must count up by one.
+            let mut cardinality: BTreeMap<(String, String), usize> = BTreeMap::new();
             for spec in batch {
                 let u = update(writer.graph(), spec);
-                writer.apply(&u);
+                let returned = writer.apply(&u);
+                let slot = (u.entity.clone(), u.relation.clone());
+                if let Some(&previous) = cardinality.get(&slot) {
+                    prop_assert_eq!(returned, previous + 1);
+                }
+                cardinality.insert(slot, returned);
                 applied.push(u);
             }
-            check_snapshot(&writer.publish(), &queries(&applied))?;
+            let snap = writer.publish();
+            for ((entity, relation), &returned) in &cardinality {
+                prop_assert_eq!(tier_claims(&snap, entity, relation), returned);
+            }
+            check_snapshot(&snap, &queries(&applied))?;
         }
     }
 }
