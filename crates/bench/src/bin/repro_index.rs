@@ -48,8 +48,8 @@ use multirag_kg::{
     EntityId, FxHasher, KnowledgeGraph, RelationId, SourceId, TieredIndex, TindexCounters, TripleId,
 };
 use multirag_obs::json::JsonObj;
+use multirag_obs::WallTimer;
 use std::hash::{Hash, Hasher};
-use std::time::Instant;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -113,7 +113,7 @@ fn scan_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> LegRu
     };
     for rep in 0..REPS {
         let (a0, b0) = alloc_snapshot();
-        let start = Instant::now();
+        let start = WallTimer::start();
         let sets = match_homologous(graph);
         let mut comparisons = 0u64;
         let mut candidates: Vec<Vec<TripleId>> = Vec::with_capacity(queries.len());
@@ -127,7 +127,7 @@ fn scan_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> LegRu
             }
             candidates.push(hits);
         }
-        let us = start.elapsed().as_micros() as u64;
+        let us = start.elapsed_us();
         let (a1, b1) = alloc_snapshot();
         run.best_us = run.best_us.min(us);
         if rep == 0 {
@@ -168,19 +168,19 @@ fn descent_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> De
         bitset_words: 0,
     };
     for rep in 0..REPS {
-        let t_build = Instant::now();
+        let t_build = WallTimer::start();
         let index = TieredIndex::build(graph);
-        let build_us = t_build.elapsed().as_micros() as u64;
+        let build_us = t_build.elapsed_us();
         run.build_us = run.build_us.min(build_us);
         let (a0, b0) = alloc_snapshot();
-        let start = Instant::now();
+        let start = WallTimer::start();
         let sets = match_homologous_tiered(&index);
         let mut counters = TindexCounters::default();
         let mut candidates: Vec<Vec<TripleId>> = Vec::with_capacity(queries.len());
         for &(entity, relation) in queries {
             candidates.push(index.descend(entity, relation, &mut counters));
         }
-        let us = start.elapsed().as_micros() as u64;
+        let us = start.elapsed_us();
         let (a1, b1) = alloc_snapshot();
         run.leg.best_us = run.leg.best_us.min(us);
         if rep == 0 {

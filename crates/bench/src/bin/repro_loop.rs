@@ -35,7 +35,7 @@ use multirag_eval::table::Table;
 use multirag_eval::{run_loop_sweep, LoopSweepConfig};
 use multirag_faults::{us_to_ms, FaultPlan};
 use multirag_obs::json::JsonObj;
-use multirag_serve::closed_loop;
+use multirag_serve::closed_loop_timeline;
 
 /// Fixed per-request serving overhead, mirroring the serve engine's
 /// admission + dispatch cost (µs).
@@ -104,7 +104,7 @@ fn run_cell(
         cell.sim_ms += sweep.usage.simulated_ms;
         service_us.extend(sweep.service_us.iter().map(|&us| us + OVERHEAD_US));
     }
-    let point = closed_loop(&service_us, CONCURRENCY, WORKERS, QUEUE_DEPTH);
+    let (point, _) = closed_loop_timeline(&service_us, CONCURRENCY, WORKERS, QUEUE_DEPTH);
     assert_eq!(
         point.completed, cell.queries,
         "queue must be deep enough that no request sheds"

@@ -1,23 +1,22 @@
-//! Deterministic perf harness for the one-shot MCC kernels.
+//! Deterministic perf harness for the one-shot MCC kernel.
 //!
 //! Measures the MCC stage (claim-profile build + graph gate + node
 //! assessment) in isolation, comparing the interned-profile kernel
-//! path against the retained naive reference implementation at 1×, 4×
-//! and 16× synthetic slot scale, on every benchmark dataset. A
-//! counting global allocator attributes heap traffic to each serial
-//! sweep; kernel op counters (NMI pairs, profiles built, interner
-//! hits/misses) come from the pipeline itself.
+//! against the retained naive reference implementation at 1×, 4× and
+//! 16× synthetic slot scale, on every benchmark dataset. Both run in a
+//! plain serial loop over the pipeline's slot groups, calling the
+//! kernel (`build_profiles` + `mcc_filter_profiles`) and
+//! `mcc_filter_reference` directly. A counting global allocator
+//! attributes heap traffic to each loop; the kernel's op counters (NMI
+//! pairs, profiles built, interner hits/misses) come from the loop
+//! itself.
 //!
-//! Three equivalence gates run inside the harness and abort on any
-//! mismatch:
-//!
-//! * **kernel vs reference** — outcome digests (every confidence bit,
-//!   pair count and simulated cost) must match at every scale;
-//! * **parallel vs serial** — a 4-worker [`mcc_sweep`] must reproduce
-//!   the serial outcome digest, usage and counters;
-//! * **fan-out byte-identity** — `run_multirag_fanout` at 1 and 4
-//!   workers, kernel and reference config, must emit byte-identical
-//!   canonical trace JSON and identical result rows.
+//! One equivalence gate runs inside the harness and aborts on any
+//! mismatch: kernel and reference outcome digests (every confidence
+//! bit, pair count and simulated cost) must match at every scale. The
+//! acceptance gate then asks for ≥ 3× fewer allocations and ≥ 2× lower
+//! wall time for the kernel at 16× slot scale, aggregated over
+//! datasets.
 //!
 //! Artifacts: `results/perf.json` + `results/perf.txt` (deterministic
 //! — CI runs the binary twice and `cmp`s both; schema-gated by
@@ -31,14 +30,13 @@
 use multirag_bench::{
     alloc_snapshot, check_schema, replicate_graph, schema_outline, seed, CountingAlloc,
 };
+use multirag_core::confidence::{build_profiles, mcc_filter_profiles, mcc_filter_reference};
 use multirag_core::{KernelCounters, MccOutcome, MklgpPipeline, MultiRagConfig};
-use multirag_eval::fanout::{mcc_sweep, run_multirag_fanout};
 use multirag_eval::table::{fmt2, Table};
-use multirag_kg::FxHasher;
+use multirag_kg::{FxHasher, KnowledgeGraph};
 use multirag_obs::json::JsonObj;
-use multirag_obs::{traces_json, Observer};
+use multirag_obs::WallTimer;
 use std::hash::{Hash, Hasher};
-use std::time::Instant;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -80,7 +78,8 @@ fn digest_outcomes(outcomes: &[MccOutcome]) -> u64 {
     h.finish()
 }
 
-/// One measured serial MCC sweep over every slot group of a pipeline.
+/// One measured serial MCC loop over every slot group of a pipeline.
+#[derive(Default)]
 struct StageRun {
     digest: u64,
     allocs: u64,
@@ -94,49 +93,78 @@ struct StageRun {
 
 const REPS: usize = 3;
 
-/// Runs the MCC stage serially (one fresh [`multirag_core::MccWorker`]
-/// per repetition, no threads — so the allocation count is exactly the
-/// stage's own traffic) `REPS` times. Allocation counts and op
-/// counters come from the first repetition (they are identical across
-/// reps); wall time is best-of-`REPS` in integer microseconds.
-fn serial_stage(pipeline: &MklgpPipeline<'_>) -> StageRun {
+/// The MCC implementation a serial loop runs.
+#[derive(Clone, Copy)]
+enum Mcc {
+    Kernel,
+    Reference,
+}
+
+/// Runs MCC over every slot group of `pipeline` serially, `REPS` times,
+/// on state taken before the counted region: an LLM clone, a history
+/// clone and an interner that owns its copy of the graph keys. The
+/// allocation count is therefore exactly the stage's own traffic.
+/// Allocation counts and op counters come from the first repetition
+/// (they are identical across reps); wall time is best-of-`REPS` in
+/// integer microseconds.
+fn serial_stage(
+    pipeline: &MklgpPipeline<'_>,
+    kg: &KnowledgeGraph,
+    config: &MultiRagConfig,
+    mcc: Mcc,
+) -> StageRun {
     let groups = pipeline.slot_groups();
+    let max_degree = pipeline.max_degree();
     let mut run = StageRun {
-        digest: 0,
-        allocs: 0,
-        bytes: 0,
         best_us: u64::MAX,
-        counters: KernelCounters::default(),
-        interner_hits: 0,
-        interner_misses: 0,
         groups: groups.len(),
+        ..StageRun::default()
     };
     for rep in 0..REPS {
-        let mut worker = pipeline.mcc_worker();
-        let (h0, m0) = worker.interner_stats();
-        let c0 = worker.counters();
+        let mut llm = pipeline.llm().clone();
+        let history = pipeline.history().clone();
+        let mut keys = pipeline.key_interner().detached();
+        let (h0, m0) = (keys.hits(), keys.misses());
+        let mut counters = KernelCounters::default();
         let mut outcomes: Vec<MccOutcome> = Vec::with_capacity(groups.len());
         let (a0, b0) = alloc_snapshot();
-        let start = Instant::now();
+        let timer = WallTimer::start();
         for group in &groups {
-            // Same per-cell metering protocol as `mcc_sweep`: a fresh
-            // usage meter per group keeps the simulated-cost floats
-            // bit-identical to the parallel path (a long-running
-            // accumulator would drift in the low ULPs).
-            worker.reset_usage();
-            outcomes.push(worker.run(group));
+            // A fresh usage meter per group, as the pipeline meters per
+            // query: a long-running accumulator would drift in the low
+            // ULPs of the simulated cost.
+            llm.reset_usage();
+            outcomes.push(match mcc {
+                Mcc::Kernel => {
+                    let profiles = build_profiles(kg, group, &mut keys);
+                    counters.profiles_built += profiles.len() as u64;
+                    mcc_filter_profiles(
+                        kg,
+                        group,
+                        &profiles,
+                        &keys,
+                        &mut llm,
+                        &history,
+                        config,
+                        max_degree,
+                        &mut counters,
+                    )
+                }
+                Mcc::Reference => {
+                    mcc_filter_reference(kg, group, &mut llm, &history, config, max_degree)
+                }
+            });
         }
-        let us = start.elapsed().as_micros() as u64;
+        let us = timer.elapsed_us();
         let (a1, b1) = alloc_snapshot();
         run.best_us = run.best_us.min(us);
         if rep == 0 {
             run.digest = digest_outcomes(&outcomes);
             run.allocs = a1 - a0;
             run.bytes = b1 - b0;
-            run.counters = worker.counters().since(c0);
-            let (h1, m1) = worker.interner_stats();
-            run.interner_hits = h1 - h0;
-            run.interner_misses = m1 - m0;
+            run.counters = counters;
+            run.interner_hits = keys.hits() - h0;
+            run.interner_misses = keys.misses() - m0;
         }
     }
     run
@@ -148,7 +176,6 @@ struct Cell {
     factor: usize,
     kernel: StageRun,
     reference: StageRun,
-    parallel_us: u64,
 }
 
 fn ratio(a: u64, b: u64) -> f64 {
@@ -164,133 +191,24 @@ fn main() {
 
     let datasets = multirag_bench::all_datasets();
     let mut cells: Vec<Cell> = Vec::new();
-    let mut fanout_rows: Vec<(String, bool, bool)> = Vec::new();
-
     for data in &datasets {
         for &factor in &[1usize, 4, 16] {
             let graph = replicate_graph(&data.graph, factor);
-            let kernel_pipe = MklgpPipeline::new(&graph, config, seed);
-            let reference_pipe = MklgpPipeline::new(&graph, config.with_reference_mcc(), seed);
-            let kernel = serial_stage(&kernel_pipe);
-            let reference = serial_stage(&reference_pipe);
+            let pipeline = MklgpPipeline::new(&graph, config, seed);
+            let kernel = serial_stage(&pipeline, &graph, &config, Mcc::Kernel);
+            let reference = serial_stage(&pipeline, &graph, &config, Mcc::Reference);
             assert_eq!(
                 kernel.digest, reference.digest,
                 "{} @{factor}x: kernel MCC must be bit-identical to reference",
                 data.name
             );
-
-            let mut parallel_us = u64::MAX;
-            let mut parallel_digest = 0u64;
-            for rep in 0..REPS {
-                let start = Instant::now();
-                let sweep = mcc_sweep(&kernel_pipe, 4);
-                let us = start.elapsed().as_micros() as u64;
-                parallel_us = parallel_us.min(us);
-                if rep == 0 {
-                    parallel_digest = digest_outcomes(&sweep.outcomes);
-                    assert_eq!(
-                        sweep.counters, kernel.counters,
-                        "{} @{factor}x: parallel op counters must match serial",
-                        data.name
-                    );
-                }
-            }
-            assert_eq!(
-                kernel.digest, parallel_digest,
-                "{} @{factor}x: 4-worker sweep must be bit-identical to serial",
-                data.name
-            );
-
             cells.push(Cell {
                 dataset: data.name.clone(),
                 factor,
                 kernel,
                 reference,
-                parallel_us,
             });
         }
-
-        // Fan-out byte-identity on the un-replicated dataset: worker
-        // count and kernel/reference config must both be invisible in
-        // the canonical trace export and the result row.
-        let obs_w1 = Observer::new();
-        let row_w1 = run_multirag_fanout(data, &data.graph, config, seed, 1, Some(obs_w1.clone()));
-        let obs_w4 = Observer::new();
-        let row_w4 = run_multirag_fanout(data, &data.graph, config, seed, 4, Some(obs_w4.clone()));
-        let obs_ref = Observer::new();
-        let row_ref = run_multirag_fanout(
-            data,
-            &data.graph,
-            config.with_reference_mcc(),
-            seed,
-            4,
-            Some(obs_ref.clone()),
-        );
-        let t_w1 = traces_json(seed, &data.name, &obs_w1.traces());
-        let t_w4 = traces_json(seed, &data.name, &obs_w4.traces());
-        let t_ref = traces_json(seed, &data.name, &obs_ref.traces());
-        let serial_equals_parallel = t_w1 == t_w4;
-        let kernel_equals_reference = t_w1 == t_ref;
-        assert!(
-            serial_equals_parallel,
-            "{}: fan-out traces must be byte-identical across worker counts",
-            data.name
-        );
-        assert!(
-            kernel_equals_reference,
-            "{}: fan-out traces must be byte-identical kernel vs reference",
-            data.name
-        );
-        for (a, b, label) in [
-            (&row_w1, &row_w4, "workers 1 vs 4"),
-            (&row_w1, &row_ref, "kernel vs reference"),
-        ] {
-            assert_eq!(
-                a.f1.to_bits(),
-                b.f1.to_bits(),
-                "{}: f1 drift ({label})",
-                data.name
-            );
-            assert_eq!(
-                a.precision.to_bits(),
-                b.precision.to_bits(),
-                "{}: precision drift ({label})",
-                data.name
-            );
-            assert_eq!(
-                a.recall.to_bits(),
-                b.recall.to_bits(),
-                "{}: recall drift ({label})",
-                data.name
-            );
-            assert_eq!(
-                a.hallucination_rate.to_bits(),
-                b.hallucination_rate.to_bits(),
-                "{}: hallucination drift ({label})",
-                data.name
-            );
-            assert_eq!(
-                a.answered_rate.to_bits(),
-                b.answered_rate.to_bits(),
-                "{}: answered drift ({label})",
-                data.name
-            );
-            assert_eq!(
-                a.pt.simulated_s.to_bits(),
-                b.pt.simulated_s.to_bits(),
-                "{}: simulated-time drift ({label})",
-                data.name
-            );
-        }
-        fanout_rows.push((
-            data.name.clone(),
-            serial_equals_parallel,
-            kernel_equals_reference,
-        ));
-        println!(
-            "fanout [{}]: traces byte-identical (1w == 4w == reference), f1 {:.1}",
-            data.name, row_w1.f1
-        );
     }
 
     // Acceptance gate: ≥3× fewer allocations and ≥2× lower wall time
@@ -340,14 +258,7 @@ fn main() {
     // the cmp'd artifacts.
     let mut wall_table = Table::new(
         &format!("Wall time, best of {REPS} (µs) — non-deterministic"),
-        &[
-            "Dataset",
-            "Scale",
-            "Kernel",
-            "Reference",
-            "Parallel(4w)",
-            "Ref/Kernel",
-        ],
+        &["Dataset", "Scale", "Kernel", "Reference", "Ref/Kernel"],
     );
     for c in &cells {
         wall_table.row(vec![
@@ -355,7 +266,6 @@ fn main() {
             format!("{}x", c.factor),
             c.kernel.best_us.to_string(),
             c.reference.best_us.to_string(),
-            c.parallel_us.to_string(),
             fmt2(ratio(c.reference.best_us, c.kernel.best_us)),
         ]);
     }
@@ -384,17 +294,6 @@ fn main() {
                     "kernel_matches_reference",
                     c.kernel.digest == c.reference.digest,
                 )
-                .bool("parallel_matches_serial", true)
-                .build()
-        })
-        .collect();
-    let fanout_json: Vec<String> = fanout_rows
-        .iter()
-        .map(|(name, sp, kr)| {
-            JsonObj::new()
-                .str("dataset", name)
-                .bool("serial_equals_parallel", *sp)
-                .bool("kernel_equals_reference", *kr)
                 .build()
         })
         .collect();
@@ -411,7 +310,6 @@ fn main() {
         .str("scale", &scale_str)
         .usize("reps", REPS)
         .arr("rows", rows)
-        .arr("fanout", fanout_json)
         .raw("acceptance", &acceptance)
         .build();
 
@@ -439,7 +337,6 @@ fn main() {
                 .usize("slot_scale", c.factor)
                 .u64("kernel_us", c.kernel.best_us)
                 .u64("reference_us", c.reference.best_us)
-                .u64("parallel4_us", c.parallel_us)
                 .f64("wall_ratio", ratio(c.reference.best_us, c.kernel.best_us))
                 .build()
         })

@@ -17,7 +17,7 @@ use multirag_eval::table::{fmt2, Table};
 use multirag_llmsim::client::MockLlm;
 use multirag_obs::WallTimer;
 use multirag_serve::{
-    build_workload, closed_loop, serve_sequential, CacheStack, IndexWriter, ServeConfig,
+    build_workload, closed_loop_timeline, serve_sequential, CacheStack, IndexWriter, ServeConfig,
 };
 
 fn main() {
@@ -96,7 +96,7 @@ fn main() {
     );
     let mut last_qps = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let point = closed_loop(&service_us, 32, workers, serve_cfg.queue_depth);
+        let (point, _) = closed_loop_timeline(&service_us, 32, workers, serve_cfg.queue_depth);
         serve_table.row(vec![
             workers.to_string(),
             point.completed.to_string(),

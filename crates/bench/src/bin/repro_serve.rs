@@ -35,8 +35,8 @@ use multirag_faults::FaultPlan;
 use multirag_kg::persist;
 use multirag_obs::Observer;
 use multirag_serve::{
-    build_workload, closed_loop_detail, feedback_tally, level_row, serve_concurrent,
-    serve_report_json, serve_sequential, tally_answers, CacheStack, EpochIndex, EpochSnapshot,
+    build_workload, closed_loop_timeline, feedback_tally, level_row, serve_report_json,
+    serve_sequential, serve_with_admission, tally_answers, CacheStack, EpochIndex, EpochSnapshot,
     EpochSummary, IndexWriter, LevelReport, ServeConfig, ServeReport, ServeRequest, ServeResponse,
     TripleUpdate,
 };
@@ -68,12 +68,12 @@ fn level(
         .iter()
         .map(|r| (r.service_ms * 1000.0).round().max(1.0) as u64)
         .collect();
-    let (point, mask) =
-        closed_loop_detail(&service_us, concurrency, config.workers, config.queue_depth);
+    let (point, timings) =
+        closed_loop_timeline(&service_us, concurrency, config.workers, config.queue_depth);
     let mut served: Vec<ServeResponse> = Vec::new();
     let mut queries: Vec<&Query> = Vec::new();
-    for ((response, request), &ok) in oracle.iter().zip(wave).zip(&mask) {
-        if ok {
+    for ((response, request), timing) in oracle.iter().zip(wave).zip(&timings) {
+        if timing.served {
             served.push(response.clone());
             queries.push(&request.query);
         }
@@ -128,9 +128,14 @@ fn main() {
     let wave1 = build_workload(&data.queries, data.queries.len() * 3, seed);
 
     // Worker-pool correctness: a concurrent pass (scratch caches, so
-    // fill races cannot leak into the canonical counters) must produce
-    // exactly the oracle's answers.
-    let concurrent = serve_concurrent(&snap1, &CacheStack::new(), &serve_cfg, wave1.clone());
+    // fill races cannot leak into the canonical counters; a queue as
+    // deep as the wave, so nothing sheds) must produce exactly the
+    // oracle's answers.
+    let admit_all = ServeConfig {
+        queue_depth: wave1.len(),
+        ..serve_cfg.clone()
+    };
+    let concurrent = serve_with_admission(&snap1, &CacheStack::new(), &admit_all, wave1.clone());
     let oracle1 = serve_sequential(&snap1, &caches, &serve_cfg, &wave1);
     for (c, o) in concurrent.iter().zip(&oracle1) {
         assert_eq!(

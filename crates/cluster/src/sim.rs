@@ -1,12 +1,12 @@
 //! Deterministic closed-loop simulator for the sharded fleet.
 //!
-//! Extends `multirag_serve`'s integer-µs discrete-event loop from one
-//! worker pool to N per-node pools: every shard has its own busy
-//! counter, bounded queue and service clock, and each request carries
-//! the candidate-node list its slot's ring position dictates. As in
-//! the single-node loop there is no wall clock and no OS scheduler —
-//! the same inputs produce the same [`ClusterLoadPoint`] bytes on
-//! every machine.
+//! A front-end over `multirag_serve`'s one integer-µs closed loop
+//! ([`run_closed_loop`]): every shard is one of the loop's worker pools,
+//! with its own busy count, bounded queue and service clock, and each
+//! request is routed to the live members of the candidate-node list its
+//! slot's ring position dictates. As in the single-node loop there is
+//! no wall clock and no OS scheduler — the same inputs produce the same
+//! [`ClusterLoadPoint`] bytes on every machine.
 //!
 //! The workload is *replicated*: request `i` reuses the service time
 //! and candidate list of base request `i % base_len`, which is how the
@@ -17,15 +17,10 @@
 //! O(buckets), not O(requests) — and the cluster-wide percentiles are
 //! read from the *merge* of the per-shard histograms, exercising the
 //! merge-tier property on every run.
-//!
-//! Event ordering is total: by time, then completions before arrivals,
-//! then a monotonic tiebreaker — identical to the single-node loop.
 
 use multirag_faults::FaultPlan;
 use multirag_obs::LogHistogram;
-use multirag_serve::SHED_BACKOFF_US;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use multirag_serve::run_closed_loop;
 
 /// One measured operating point of the cluster closed loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,24 +70,13 @@ pub struct ClusterSimOutcome {
     pub per_shard_peak_queue: Vec<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// Shard `shard` finishes a request submitted at `submitted` by
-    /// `client`.
-    Complete {
-        client: usize,
-        shard: u32,
-        submitted: u64,
-    },
-    /// A client submits its next request (or retires if none remain).
-    Arrive { client: usize },
-}
-
 /// Runs the cluster closed loop.
 ///
 /// `base_service_us[i % len]` and `base_candidates[i % len]` supply
 /// request `i`'s service time and candidate nodes (owner first);
-/// `total` requests are driven by `concurrency` clients. `outage`
+/// `total` requests are driven by `concurrency` clients. A request
+/// starts on the first live candidate with a free worker, else queues
+/// on the first live candidate with queue room, else is shed. `outage`
 /// optionally supplies a fault plan plus the simulated-µs width of one
 /// outage window; a down node accepts no starts and no enqueues for
 /// that window.
@@ -112,180 +96,77 @@ pub fn cluster_closed_loop(
     let workers_per_shard = workers_per_shard.max(1);
     let base_len = base_service_us.len().max(1);
     let cand_len = base_candidates.len().max(1);
-
-    let mut heap: BinaryHeap<Reverse<(u64, u8, u64, Event)>> = BinaryHeap::new();
-    let mut tiebreak: u64 = 0;
-    let mut push =
-        |heap: &mut BinaryHeap<Reverse<(u64, u8, u64, Event)>>, time: u64, event: Event| {
-            // Completions sort before arrivals at the same instant so a
-            // freed worker can take a same-instant submission.
-            let kind = match event {
-                Event::Complete { .. } => 0u8,
-                Event::Arrive { .. } => 1u8,
-            };
-            tiebreak += 1;
-            heap.push(Reverse((time, kind, tiebreak, event)));
-        };
-    for client in 0..concurrency {
-        push(&mut heap, 0, Event::Arrive { client });
-    }
-
-    // Round-robin request ownership: client `c` drives requests
-    // `c, c + concurrency, c + 2·concurrency, …` — a counter per
-    // client instead of materialized per-request streams, so a
-    // million-request workload costs no per-request memory.
-    let mut submitted_by_client: Vec<usize> = vec![0; concurrency];
-    let quota = |client: usize| total / concurrency + usize::from(client < total % concurrency);
-
-    let mut busy: Vec<usize> = vec![0; shards as usize];
-    let mut queues: Vec<VecDeque<(usize, u64, u64)>> = vec![VecDeque::new(); shards as usize];
-    let mut peak_queue: Vec<u64> = vec![0; shards as usize];
     let mut per_shard: Vec<LogHistogram> = vec![LogHistogram::new(); shards as usize];
     let mut per_shard_completed: Vec<u64> = vec![0; shards as usize];
-    let mut shed: usize = 0;
-    let mut failovers: usize = 0;
-    let mut unrouted: usize = 0;
-    let mut end_time: u64 = 0;
-
-    while let Some(Reverse((now, _, _, event))) = heap.pop() {
-        end_time = end_time.max(now);
-        match event {
-            Event::Complete {
-                client,
-                shard,
-                submitted,
-            } => {
-                let s = shard as usize;
-                if let Some(h) = per_shard.get_mut(s) {
-                    h.record(now - submitted);
-                }
-                if let Some(n) = per_shard_completed.get_mut(s) {
-                    *n += 1;
-                }
-                let next = queues.get_mut(s).and_then(VecDeque::pop_front);
-                if let Some((qclient, qsubmitted, qservice)) = next {
-                    // The freed worker immediately takes the oldest
-                    // queued request; `busy` is unchanged.
-                    push(
-                        &mut heap,
-                        now + qservice,
-                        Event::Complete {
-                            client: qclient,
-                            shard,
-                            submitted: qsubmitted,
-                        },
-                    );
-                } else if let Some(b) = busy.get_mut(s) {
-                    *b -= 1;
-                }
-                push(&mut heap, now, Event::Arrive { client });
-            }
-            Event::Arrive { client } => {
-                let attempted = submitted_by_client.get(client).copied().unwrap_or(0);
-                if attempted >= quota(client) {
-                    continue; // client retired
-                }
-                if let Some(n) = submitted_by_client.get_mut(client) {
-                    *n += 1;
-                }
-                let i = client + attempted * concurrency;
-                let service = base_service_us.get(i % base_len).copied().unwrap_or(1);
-                let empty: Vec<u32> = Vec::new();
-                let candidates = base_candidates.get(i % cand_len).unwrap_or(&empty);
-
-                let is_down = |node: u32| match outage {
-                    Some((plan, window_us)) => plan.node_outage(node, now / window_us.max(1)),
-                    None => false,
-                };
-                let preferred_live = candidates.iter().copied().find(|&n| !is_down(n));
-                let live: Vec<u32> = candidates
+    let (mut failovers, mut unrouted) = (0, 0);
+    let run = run_closed_loop(
+        total,
+        concurrency,
+        shards as usize,
+        workers_per_shard,
+        queue_depth,
+        |i, now, live| {
+            let candidates = base_candidates
+                .get(i % cand_len)
+                .map(Vec::as_slice)
+                .unwrap_or_default();
+            let is_down = |node: u32| match outage {
+                Some((plan, window_us)) => plan.node_outage(node, now / window_us.max(1)),
+                None => false,
+            };
+            live.extend(
+                candidates
                     .iter()
-                    .copied()
-                    .filter(|&n| n < shards && !is_down(n))
-                    .collect();
-                if live.is_empty() {
-                    // Every candidate down: structured shed, client
-                    // backs off and moves on.
-                    unrouted += 1;
-                    shed += 1;
-                    push(&mut heap, now + SHED_BACKOFF_US, Event::Arrive { client });
-                    continue;
-                }
-                if preferred_live != candidates.first().copied() {
-                    failovers += 1;
-                }
-                // First live candidate with a free worker starts now;
-                // otherwise first live candidate with queue space.
-                let started = live.iter().copied().find(|&n| {
-                    busy.get(n as usize).copied().unwrap_or(workers_per_shard) < workers_per_shard
-                });
-                if let Some(shard) = started {
-                    if let Some(b) = busy.get_mut(shard as usize) {
-                        *b += 1;
-                    }
-                    push(
-                        &mut heap,
-                        now + service,
-                        Event::Complete {
-                            client,
-                            shard,
-                            submitted: now,
-                        },
-                    );
-                    continue;
-                }
-                let queued = live.iter().copied().find(|&n| {
-                    queues
-                        .get(n as usize)
-                        .map(|q| q.len() < queue_depth)
-                        .unwrap_or(false)
-                });
-                if let Some(shard) = queued {
-                    if let Some(q) = queues.get_mut(shard as usize) {
-                        q.push_back((client, now, service));
-                        if let Some(peak) = peak_queue.get_mut(shard as usize) {
-                            *peak = (*peak).max(q.len() as u64);
-                        }
-                    }
-                } else {
-                    shed += 1;
-                    push(&mut heap, now + SHED_BACKOFF_US, Event::Arrive { client });
-                }
+                    .filter(|&&n| n < shards && !is_down(n))
+                    .map(|&n| n as usize),
+            );
+            if live.is_empty() {
+                // Every candidate down: the loop sheds it, and the
+                // client backs off and moves on.
+                unrouted += 1;
+            } else if candidates.iter().copied().find(|&n| !is_down(n))
+                != candidates.first().copied()
+            {
+                failovers += 1;
             }
-        }
-    }
+            base_service_us.get(i % base_len).copied().unwrap_or(1)
+        },
+        |_, shard, timing| {
+            let Some(s) = shard else { return };
+            if let Some(h) = per_shard.get_mut(s) {
+                h.record(timing.latency_us());
+            }
+            if let Some(n) = per_shard_completed.get_mut(s) {
+                *n += 1;
+            }
+        },
+    );
 
     let mut overall = LogHistogram::new();
     for h in &per_shard {
         overall.merge(h);
     }
-    let completed = overall.count() as usize;
-    let throughput_qps = if end_time > 0 {
-        completed as f64 / (end_time as f64 / 1_000_000.0)
-    } else {
-        0.0
-    };
     let point = ClusterLoadPoint {
         shards,
         concurrency,
         workers_per_shard,
         offered: total,
-        completed,
-        shed,
+        completed: run.completed,
+        shed: run.shed,
         failovers,
         unrouted,
-        throughput_qps,
+        throughput_qps: run.throughput_qps(),
         p50_us: overall.quantile_us(50),
         p95_us: overall.quantile_us(95),
         p99_us: overall.quantile_us(99),
-        sim_total_ms: end_time as f64 / 1000.0,
+        sim_total_ms: run.sim_total_ms(),
     };
     ClusterSimOutcome {
         point,
         per_shard,
         overall,
         per_shard_completed,
-        per_shard_peak_queue: peak_queue,
+        per_shard_peak_queue: run.peak_queue,
     }
 }
 

@@ -11,10 +11,14 @@
 //!    verdict reduction is a pure function of the verdict *set*.
 //! 3. **Ring consistency**: `owner` is `candidates[0]`, candidates are
 //!    distinct, and ownership is stable across rebuilds.
+//! 4. **One pool is the single-node loop**: a one-shard fleet with no
+//!    outage plan reproduces `multirag_serve::closed_loop_timeline`'s
+//!    counts, clock and latencies exactly.
 
-use multirag_cluster::{slot_key, HashRing, DEFAULT_VNODES};
+use multirag_cluster::{cluster_closed_loop, slot_key, HashRing, DEFAULT_VNODES};
 use multirag_core::{reduce_shard_answers, AbstainReason, PipelineAnswer};
 use multirag_obs::LogHistogram;
+use multirag_serve::closed_loop_timeline;
 use proptest::prelude::*;
 
 fn answer(confidence: f64, abstained: bool) -> PipelineAnswer {
@@ -113,5 +117,32 @@ proptest! {
             sorted.dedup();
             prop_assert_eq!(sorted.len(), cands.len());
         }
+    }
+
+    /// A single node is one pool: the fleet loop over one shard, every
+    /// request routed to `[0]` and no outages, matches the single-node
+    /// loop on every count and on the clock's bits, and its histogram
+    /// is the one the single-node latencies build.
+    #[test]
+    fn one_pool_fleet_is_the_single_node_loop(
+        service in proptest::collection::vec(1u64..=3_000, 0..=200),
+        clients in 1usize..=15,
+        workers in 1usize..=4,
+        depth in 0usize..=8,
+    ) {
+        let fleet =
+            cluster_closed_loop(&service, &[vec![0]], service.len(), 1, clients, workers, depth, None);
+        let (single, timings) = closed_loop_timeline(&service, clients, workers, depth);
+        prop_assert_eq!(fleet.point.completed, single.completed);
+        prop_assert_eq!(fleet.point.shed, single.shed);
+        prop_assert_eq!(fleet.point.offered, single.offered);
+        prop_assert_eq!(fleet.point.sim_total_ms.to_bits(), single.sim_total_ms.to_bits());
+        prop_assert_eq!(fleet.point.throughput_qps.to_bits(), single.throughput_qps.to_bits());
+        prop_assert_eq!(fleet.point.failovers, 0);
+        let mut expected = LogHistogram::new();
+        for t in timings.iter().filter(|t| t.served) {
+            expected.record(t.latency_us());
+        }
+        prop_assert_eq!(&fleet.overall, &expected);
     }
 }

@@ -28,10 +28,13 @@
 //! rescue path. The naive implementation ([`mi_similarity`],
 //! [`mcc_filter_reference`]) is retained as the equivalence oracle: it
 //! rebuilds string-keyed distributions per pair, and proptests assert
-//! the kernel is **bit-identical** (not ε-close) to it. To keep that
-//! contract checkable, both paths do their floating-point work in the
-//! same order: distributions iterate in sorted-canonical-key order and
-//! masses accumulate by repeated `+= w`.
+//! the kernel is **bit-identical** (not ε-close) to it. Nothing selects
+//! the oracle at run time — MKLGP runs only the kernel, and tests, the
+//! `repro_perf` harness and the criterion benches call the reference
+//! functions directly. To keep the contract checkable, both paths do
+//! their floating-point work in the same order: distributions iterate
+//! in sorted-canonical-key order and masses accumulate by repeated
+//! `+= w`.
 
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
@@ -577,22 +580,6 @@ pub struct KernelCounters {
     pub profiles_built: u64,
 }
 
-impl KernelCounters {
-    /// Adds another counter snapshot into this one.
-    pub fn merge(&mut self, other: KernelCounters) {
-        self.nmi_pairs += other.nmi_pairs;
-        self.profiles_built += other.profiles_built;
-    }
-
-    /// The increments accumulated since `earlier`.
-    pub fn since(self, earlier: KernelCounters) -> KernelCounters {
-        KernelCounters {
-            nmi_pairs: self.nmi_pairs.saturating_sub(earlier.nmi_pairs),
-            profiles_built: self.profiles_built.saturating_sub(earlier.profiles_built),
-        }
-    }
-}
-
 /// Dense symmetric pairwise-similarity matrix over one slot's profiles.
 struct SimMatrix {
     n: usize,
@@ -816,11 +803,9 @@ fn threshold_and_rescue(
 }
 
 /// Algorithm 1 applied to one homologous group: graph-level gating,
-/// then node-level thresholding.
-///
-/// Dispatches to [`mcc_filter_profiles`] (the hot path) or, under
-/// [`MultiRagConfig::use_reference_mcc`], to [`mcc_filter_reference`];
-/// both produce bit-identical outcomes.
+/// then node-level thresholding. A convenience wrapper that builds the
+/// group's profiles against a fresh interner and runs
+/// [`mcc_filter_profiles`].
 pub fn mcc_filter(
     kg: &KnowledgeGraph,
     group: &HomologousGroup,
@@ -829,9 +814,6 @@ pub fn mcc_filter(
     config: &MultiRagConfig,
     max_degree: usize,
 ) -> MccOutcome {
-    if config.use_reference_mcc {
-        return mcc_filter_reference(kg, group, llm, history, config, max_degree);
-    }
     let mut keys = KeyInterner::new();
     let profiles = build_profiles(kg, group, &mut keys);
     let mut counters = KernelCounters::default();

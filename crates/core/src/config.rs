@@ -29,13 +29,6 @@ pub struct MultiRagConfig {
     pub enable_graph_level: bool,
     /// Ablation: enable node-level confidence filtering.
     pub enable_node_level: bool,
-    /// Diagnostic switch: route MCC through the retained naive
-    /// reference implementation instead of the interned-profile kernel.
-    /// Outcomes are bit-identical either way (proptested); the
-    /// reference path rebuilds string-keyed distributions per node pair
-    /// and exists for equivalence testing and as the `repro_perf`
-    /// baseline.
-    pub use_reference_mcc: bool,
 }
 
 impl Default for MultiRagConfig {
@@ -50,7 +43,6 @@ impl Default for MultiRagConfig {
             enable_mka: true,
             enable_graph_level: true,
             enable_node_level: true,
-            use_reference_mcc: false,
         }
     }
 }
@@ -92,13 +84,6 @@ impl MultiRagConfig {
         self.alpha = alpha.clamp(0.0, 1.0);
         self
     }
-
-    /// Routes MCC through the naive reference implementation
-    /// (equivalence oracle / perf baseline).
-    pub fn with_reference_mcc(mut self) -> Self {
-        self.use_reference_mcc = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +99,6 @@ mod tests {
         assert_eq!(c.beta, 0.5);
         assert_eq!(c.history_pseudo, 50.0);
         assert!(c.enable_mka && c.enable_graph_level && c.enable_node_level);
-        assert!(!c.use_reference_mcc, "kernel path is the default");
-        assert!(
-            MultiRagConfig::default()
-                .with_reference_mcc()
-                .use_reference_mcc
-        );
     }
 
     #[test]

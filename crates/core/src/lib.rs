@@ -50,7 +50,5 @@ pub use loopctl::{grade_supported, LadderStep, LoopConfig};
 pub use memo::{profile_fingerprint, ConfidenceMemo, SlotVerdict};
 pub use merge::{reduce_shard_answers, MergedVerdict};
 pub use mlg::MultiSourceLineGraph;
-pub use pipeline::{
-    kg_schema, AbstainReason, GraphState, MccWorker, MklgpPipeline, PipelineAnswer,
-};
+pub use pipeline::{kg_schema, AbstainReason, GraphState, MklgpPipeline, PipelineAnswer};
 pub use qa::{MultiHopOutcome, MultiRagQa};

@@ -15,7 +15,7 @@
 //!    that context is),
 //! 5. updates the historical source-credibility store.
 
-use crate::confidence::{self, GraphConfidence, KernelCounters, MccOutcome, NodeConfidence};
+use crate::confidence::{self, GraphConfidence, KernelCounters, NodeConfidence};
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
 use crate::homologous::{match_homologous_tiered, HomologousGroup, HomologousSets};
@@ -599,9 +599,15 @@ impl<'g> MklgpPipeline<'g> {
         &self.history
     }
 
+    /// The graph's largest entity degree, which node assessment
+    /// (Eqs. 8–11) reads.
+    pub fn max_degree(&self) -> usize {
+        self.max_degree
+    }
+
     /// The homologous groups of the tiered index's slot tier, in
     /// `(entity, relation)` order. Empty when MKA is ablated — there is
-    /// no aggregated index to fan out over.
+    /// no aggregated index to list.
     pub fn slot_groups(&self) -> Vec<HomologousGroup> {
         if self.config.enable_mka {
             match_homologous_tiered(&self.tindex).groups
@@ -633,27 +639,6 @@ impl<'g> MklgpPipeline<'g> {
         &self.keys
     }
 
-    /// Splits off a self-contained slot-level MCC evaluator: cloned LLM
-    /// stream (usage meter reset), a detached copy of the interner
-    /// ([`KeyInterner::detached`]), the current history
-    /// snapshot, and fresh op counters. The deterministic fan-out path
-    /// gives each worker thread one of these; because MCC never writes
-    /// history, every worker observes exactly the state a serial sweep
-    /// would.
-    pub fn mcc_worker(&self) -> MccWorker<'g> {
-        let mut llm = self.llm.clone();
-        llm.reset_usage();
-        MccWorker {
-            kg: self.kg,
-            llm,
-            keys: self.keys.detached(),
-            history: self.history.clone(),
-            config: self.config,
-            max_degree: self.max_degree,
-            counters: KernelCounters::default(),
-        }
-    }
-
     /// Answers one benchmark query (Algorithm 2). When an observer is
     /// attached the query additionally emits a [`QueryTrace`] — spans,
     /// subgraph verdicts, chaos events and answer provenance.
@@ -667,24 +652,6 @@ impl<'g> MklgpPipeline<'g> {
             obs.finish_query(trace);
         }
         answer
-    }
-
-    /// Like [`MklgpPipeline::answer`], but also hands the caller the
-    /// [`QueryTrace`]. The deterministic fan-out harness answers on
-    /// worker clones (no observer attached) and republishes the traces
-    /// in query order, so parallel trace exports stay byte-identical to
-    /// serial runs. When an observer *is* attached, the trace is still
-    /// published exactly as [`MklgpPipeline::answer`] would.
-    pub fn answer_traced(&mut self, query: &Query) -> (PipelineAnswer, QueryTrace) {
-        let usage_before = self.llm.usage();
-        let mut stats = AnswerStats::default();
-        let answer = self.answer_with_stats(query, &mut stats);
-        self.flush_kernel_metrics();
-        let trace = self.build_trace(query, &answer, stats, &usage_before);
-        if let Some(obs) = &self.obs {
-            obs.finish_query(trace.clone());
-        }
-        (answer, trace)
     }
 
     /// Publishes kernel-counter deltas into the observer's metrics
@@ -870,28 +837,17 @@ impl<'g> MklgpPipeline<'g> {
             let verdict = memo_key
                 .and_then(|key| self.memo.as_ref().and_then(|m| m.get(key)))
                 .unwrap_or_else(|| {
-                    let outcome = if self.config.use_reference_mcc {
-                        confidence::mcc_filter_reference(
-                            self.kg,
-                            group,
-                            &mut self.llm,
-                            &self.history,
-                            &self.config,
-                            self.max_degree,
-                        )
-                    } else {
-                        confidence::mcc_filter_profiles(
-                            self.kg,
-                            group,
-                            &profiles,
-                            &self.keys,
-                            &mut self.llm,
-                            &self.history,
-                            &self.config,
-                            self.max_degree,
-                            &mut self.kernel,
-                        )
-                    };
+                    let outcome = confidence::mcc_filter_profiles(
+                        self.kg,
+                        group,
+                        &profiles,
+                        &self.keys,
+                        &mut self.llm,
+                        &self.history,
+                        &self.config,
+                        self.max_degree,
+                        &mut self.kernel,
+                    );
                     let verdict = SlotVerdict {
                         graph: outcome.graph,
                         kept: outcome.kept,
@@ -1670,74 +1626,6 @@ fn sets_from_extraction(
         sets.isolated = extracted.to_vec();
     }
     sets
-}
-
-/// A self-contained slot-level MCC evaluator split off a pipeline via
-/// [`MklgpPipeline::mcc_worker`]: its own LLM stream, key interner and
-/// op counters over the shared (read-only) graph and a history
-/// snapshot. The `eval` fan-out harness runs one worker per thread and
-/// folds usage and counters back together in slot order, so parallel
-/// sweeps are byte-identical to serial ones.
-#[derive(Clone)]
-pub struct MccWorker<'g> {
-    kg: &'g KnowledgeGraph,
-    llm: MockLlm,
-    keys: KeyInterner,
-    history: HistoryStore,
-    config: MultiRagConfig,
-    max_degree: usize,
-    counters: KernelCounters,
-}
-
-impl<'g> MccWorker<'g> {
-    /// Runs MCC (Algorithm 1) over one homologous group, honouring the
-    /// pipeline's `use_reference_mcc` switch.
-    pub fn run(&mut self, group: &HomologousGroup) -> MccOutcome {
-        if self.config.use_reference_mcc {
-            return confidence::mcc_filter_reference(
-                self.kg,
-                group,
-                &mut self.llm,
-                &self.history,
-                &self.config,
-                self.max_degree,
-            );
-        }
-        let profiles = confidence::build_profiles(self.kg, group, &mut self.keys);
-        self.counters.profiles_built += profiles.len() as u64;
-        confidence::mcc_filter_profiles(
-            self.kg,
-            group,
-            &profiles,
-            &self.keys,
-            &mut self.llm,
-            &self.history,
-            &self.config,
-            self.max_degree,
-            &mut self.counters,
-        )
-    }
-
-    /// The worker's LLM usage meter.
-    pub fn usage(&self) -> LlmUsage {
-        self.llm.usage()
-    }
-
-    /// Resets the worker's usage meter (fan-out cells meter per-group
-    /// deltas).
-    pub fn reset_usage(&mut self) {
-        self.llm.reset_usage();
-    }
-
-    /// Kernel op counters accumulated by this worker.
-    pub fn counters(&self) -> KernelCounters {
-        self.counters
-    }
-
-    /// Interner statistics `(hits, misses)` for this worker's clone.
-    pub fn interner_stats(&self) -> (u64, u64) {
-        (self.keys.hits(), self.keys.misses())
-    }
 }
 
 #[cfg(test)]

@@ -16,19 +16,16 @@
 //!   [`harness::MethodResult`] row.
 //! * [`table`] — ASCII table rendering for the repro binaries.
 //! * [`parallel`] — scoped fan-out for independent experiment cells.
-//! * [`fanout`] — deterministic slot/query fan-out for the MKLGP
-//!   pipeline: frozen-history worker clones, per-cell metering, and
-//!   slot-order reduction keep parallel runs byte-identical to serial.
-//! * [`loopsweep`] — closed-loop fan-out: runs the pipeline with an
-//!   escalation budget and returns per-query answers plus integer-µs
-//!   service times for the serving crate's queueing model.
+//! * [`loopsweep`] — closed-loop query fan-out: runs the pipeline with
+//!   an escalation budget on frozen-history worker clones and returns
+//!   per-query answers plus integer-µs service times for the serving
+//!   crate's queueing model, byte-identical at any worker count.
 //! * [`errors`] — the Q4 hallucination/failure taxonomy.
 //! * [`degradation`] — chaos-run metrics: fault-rate degradation curves
 //!   with deterministic JSON serialization.
 
 pub mod degradation;
 pub mod errors;
-pub mod fanout;
 pub mod harness;
 pub mod loopsweep;
 pub mod metrics;
@@ -40,7 +37,6 @@ pub use degradation::{
     chaos_report_json, run_multirag_chaos, run_multirag_chaos_observed, ChaosPoint,
 };
 pub use errors::{ErrorBreakdown, Outcome};
-pub use fanout::{mcc_sweep, run_multirag_fanout, MccSweep};
 pub use harness::{
     run_fusion_method, run_multihop_method, run_multirag, run_multirag_multihop,
     run_multirag_observed, MethodResult, MultiHopResult,

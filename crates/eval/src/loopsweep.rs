@@ -1,5 +1,4 @@
-//! Loop-aware query fan-out: the closed-loop counterpart of
-//! [`crate::fanout::run_multirag_fanout`].
+//! Loop-aware query fan-out.
 //!
 //! Runs the MKLGP pipeline with an escalation budget
 //! ([`multirag_core::LoopConfig`]) over a dataset and returns the raw
@@ -10,11 +9,22 @@
 //! this crate stays below `multirag-serve` in the dependency order, so
 //! the queueing model is applied by the binary, not here.
 //!
-//! The fan-out inherits the bit-transparency contract of the plain
-//! runner: frozen history, per-cell metering, slot-order reduction.
-//! With escalation enabled the loop's grading and regeneration calls
-//! are part of the per-query meter delta, so outcomes and service
-//! times are byte-identical at any worker count.
+//! The fan-out is *bit-transparent*: outcomes, service times and the
+//! usage total are byte-identical at any worker count. Three properties
+//! make that true by construction:
+//!
+//! 1. **Frozen history.** The base pipeline's credibility store is
+//!    frozen before it is cloned, so every worker answers against the
+//!    same `Auth_hist` snapshot regardless of completion order (the
+//!    per-query feedback writes become no-ops).
+//! 2. **Per-cell metering.** Each cell resets its worker's LLM usage
+//!    meter before answering, so the delta it reports depends only on
+//!    the query — not on which worker ran it or what that worker ran
+//!    before. With escalation enabled the loop's grading and
+//!    regeneration calls are part of that delta.
+//! 3. **Input-order reduction.** Results come back from
+//!    [`parallel_map_with`] in query order, and usage is merged in that
+//!    order.
 
 use crate::parallel::parallel_map_with;
 use multirag_core::{LoopConfig, MklgpPipeline, MultiRagConfig, PipelineAnswer};

@@ -47,9 +47,9 @@ where
 
 /// The stateful variant of [`try_parallel_map`]: each worker thread
 /// builds its own long-lived state once via `init(worker_index)` and
-/// threads it through every cell it processes. The serving engine uses
-/// this to give each worker its own pipeline clone (sharing the epoch
-/// snapshot and cache stack) instead of rebuilding one per request.
+/// threads it through every cell it processes. The cluster router and
+/// `loopsweep` use this to give each worker its own pipeline clone
+/// instead of rebuilding one per request.
 ///
 /// A panicking cell may leave the worker state inconsistent, so the
 /// worker rebuilds it with `init` before touching the next cell.

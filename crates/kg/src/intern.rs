@@ -216,7 +216,10 @@ impl KeyInterner {
 
     /// A clone with its own copy of the graph keys, for a long-lived
     /// user that interns many keys of its own: they go into that copy,
-    /// as in the interner it was cloned from.
+    /// as in the interner it was cloned from. `repro_perf` measures its
+    /// serial MCC loop on one, so the loop's allocation counts are those
+    /// of interning into an owned table (a plain clone would intern on
+    /// the side and allocate differently).
     pub fn detached(&self) -> Self {
         Self {
             graph: Arc::new(GraphKeys::clone(&self.graph)),

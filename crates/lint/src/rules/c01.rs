@@ -29,8 +29,6 @@ pub const FANOUT_FNS: &[&str] = &[
     "parallel_map_with",
     "try_parallel_map",
     "try_parallel_map_with",
-    "mcc_sweep",
-    "run_multirag_fanout",
     "run_loop_sweep",
     "cluster_closed_loop",
 ];

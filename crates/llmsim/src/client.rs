@@ -85,9 +85,9 @@ impl LlmUsage {
     }
 
     /// Adds another usage meter into this one — every field is a plain
-    /// sum. The deterministic fan-out harness meters each worker
-    /// separately and merge-reduces in slot order, so a parallel sweep
-    /// reports exactly the usage a serial sweep would.
+    /// sum. The closed-loop query sweep (`eval::loopsweep`) meters each
+    /// cell separately and merge-reduces in query order, so a parallel
+    /// sweep reports exactly the usage a serial sweep would.
     pub fn merge(&mut self, other: &LlmUsage) {
         self.calls += other.calls;
         self.input_tokens += other.input_tokens;

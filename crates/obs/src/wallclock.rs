@@ -31,6 +31,12 @@ impl WallTimer {
     pub fn elapsed_s(&self) -> f64 {
         self.0.elapsed().as_secs_f64()
     }
+
+    /// Elapsed wall microseconds since [`WallTimer::start`], truncated
+    /// — the unit the perf harnesses report best-of-N timings in.
+    pub fn elapsed_us(&self) -> u64 {
+        self.0.elapsed().as_micros() as u64
+    }
 }
 
 impl Default for WallTimer {
@@ -50,5 +56,7 @@ mod tests {
         let second = timer.elapsed_s();
         assert!(first >= 0.0);
         assert!(second >= first);
+        let us = timer.elapsed_us();
+        assert!(timer.elapsed_us() >= us);
     }
 }

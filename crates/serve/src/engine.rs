@@ -13,7 +13,6 @@ use crate::cache::{result_key, CacheStack};
 use crate::epoch::EpochSnapshot;
 use crate::workload::{RequestKind, ServeRequest};
 use multirag_core::{LoopConfig, MklgpPipeline, PipelineAnswer};
-use multirag_eval::parallel_map_with;
 use multirag_faults::{FaultPlan, RetryPolicy};
 use multirag_kg::SourceId;
 use parking_lot::Mutex;
@@ -177,30 +176,16 @@ pub fn serve_sequential_observed(
 }
 
 /// Serves the stream on a worker pool, one snapshot-bound pipeline per
-/// worker (built once via the stateful fan-out, not per request), all
-/// workers sharing the cache stack. Responses come back in stream
-/// order. Answers are deterministic; which worker served which request
-/// (and therefore per-worker LLM meters) is not.
-pub fn serve_concurrent(
-    snapshot: &EpochSnapshot,
-    caches: &CacheStack,
-    config: &ServeConfig,
-    requests: Vec<ServeRequest>,
-) -> Vec<ServeResponse> {
-    parallel_map_with(
-        requests,
-        config.workers,
-        |_| snapshot_pipeline(snapshot, caches, config),
-        |pipeline, request| serve_one(pipeline, caches, &request),
-    )
-}
-
-/// [`serve_concurrent`] behind a bounded admission queue: the caller
+/// worker (built once per worker, not per request), all workers sharing
+/// the cache stack, behind a bounded admission queue: the caller
 /// thread `try_send`s every request; when the queue is full the
 /// request is shed immediately as [`ServeVerdict::Overloaded`] instead
 /// of blocking the stream. The caller then serves as one of the
 /// `workers`, so a batch starts on a thread that is already running
-/// and spawns one thread fewer.
+/// and spawns one thread fewer. Responses come back in stream order.
+/// Answers are deterministic; which worker served which request (and
+/// therefore per-worker LLM meters) is not. A `queue_depth` of at
+/// least the batch length admits every request.
 pub fn serve_with_admission(
     snapshot: &EpochSnapshot,
     caches: &CacheStack,
@@ -375,7 +360,11 @@ mod tests {
         // Separate cache stacks: shared caches would let one path's
         // fill order change the other's hit pattern mid-comparison.
         let oracle = serve_sequential(&snap, &CacheStack::new(), &config, &stream);
-        let served = serve_concurrent(&snap, &CacheStack::new(), &config, stream);
+        let config = ServeConfig {
+            queue_depth: stream.len(),
+            ..config
+        };
+        let served = serve_with_admission(&snap, &CacheStack::new(), &config, stream);
         assert_eq!(oracle.len(), served.len());
         for (o, s) in oracle.iter().zip(&served) {
             assert_eq!(o.seq, s.seq);

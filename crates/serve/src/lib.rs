@@ -18,9 +18,11 @@
 //! * [`engine`] — snapshot-bound worker pools, the L1 fast path,
 //!   bounded admission with load shedding, and the Step-5 credibility
 //!   feedback tally that frozen-history serving defers to publish time.
-//! * [`simloop`] — a closed-loop discrete-event simulator over integer
-//!   simulated microseconds, for byte-stable latency/throughput curves
-//!   with per-request [`RequestTiming`] timelines.
+//! * [`simloop`] — the closed-loop discrete-event simulator over integer
+//!   simulated microseconds: one event loop over N worker pools, for
+//!   byte-stable latency/throughput curves with per-request
+//!   [`RequestTiming`] timelines (a single node is one pool; the
+//!   cluster's fleet simulator is another front-end on the same loop).
 //! * [`attrib`] — tail-latency attribution: rebuilds each request's
 //!   service time from its trace's per-stage costs so latency
 //!   decomposes exactly into queue wait + stages + overhead.
@@ -41,9 +43,9 @@ pub mod workload;
 pub use attrib::{attribute, request_costs, round_us, AttributionOutcome, RequestCost};
 pub use cache::{result_key, CacheCounters, CacheStack, ResultCache};
 pub use engine::{
-    feedback_tally, serve_concurrent, serve_one, serve_sequential, serve_sequential_observed,
-    serve_with_admission, snapshot_pipeline, ServeConfig, ServeResponse, ServeVerdict,
-    RESULT_CACHE_HIT_MS, SERVE_OVERHEAD_MS,
+    feedback_tally, serve_one, serve_sequential, serve_sequential_observed, serve_with_admission,
+    snapshot_pipeline, ServeConfig, ServeResponse, ServeVerdict, RESULT_CACHE_HIT_MS,
+    SERVE_OVERHEAD_MS,
 };
 pub use epoch::{EpochIndex, EpochSnapshot, IndexWriter, TripleUpdate};
 pub use report::{
@@ -51,7 +53,6 @@ pub use report::{
     ServeReport,
 };
 pub use simloop::{
-    closed_loop, closed_loop_detail, closed_loop_timeline, LoadPoint, RequestTiming,
-    SHED_BACKOFF_US,
+    closed_loop_timeline, run_closed_loop, LoadPoint, LoopRun, RequestTiming, SHED_BACKOFF_US,
 };
 pub use workload::{build_workload, paraphrase, RequestKind, ServeRequest};

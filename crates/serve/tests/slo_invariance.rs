@@ -10,7 +10,7 @@ use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::spec::Scale;
 use multirag_obs::slo::{Completion, SloEngine, SloSpec, WindowSnapshot};
 use multirag_serve::{
-    build_workload, serve_concurrent, CacheStack, IndexWriter, RequestKind, ServeConfig,
+    build_workload, serve_with_admission, CacheStack, IndexWriter, RequestKind, ServeConfig,
     ServeRequest, ServeResponse, ServeVerdict,
 };
 
@@ -103,11 +103,13 @@ fn windowed_snapshots_are_worker_count_invariant() {
     let mut snapshots: Vec<(usize, String)> = Vec::new();
     let mut reference: Option<Vec<ServeResponse>> = None;
     for workers in [1usize, 2, 4] {
+        // A queue as deep as the wave admits every request.
         let config = ServeConfig {
             workers,
+            queue_depth: wave.len(),
             ..ServeConfig::default()
         };
-        let responses = serve_concurrent(&snapshot, &CacheStack::new(), &config, wave.clone());
+        let responses = serve_with_admission(&snapshot, &CacheStack::new(), &config, wave.clone());
         assert_eq!(responses.len(), wave.len());
         if let Some(reference) = &reference {
             for (r, expected) in responses.iter().zip(reference) {
@@ -143,8 +145,11 @@ fn engine_ingestion_is_order_independent() {
     let mut writer = IndexWriter::new(data.graph, MultiRagConfig::default(), SEED);
     let snapshot = writer.publish();
     let wave = build_workload(&data.queries, data.queries.len() * 2, SEED);
-    let config = ServeConfig::default();
-    let responses = serve_concurrent(&snapshot, &CacheStack::new(), &config, wave.clone());
+    let config = ServeConfig {
+        queue_depth: wave.len(),
+        ..ServeConfig::default()
+    };
+    let responses = serve_with_admission(&snapshot, &CacheStack::new(), &config, wave.clone());
 
     let stream = completions(&wave, &responses);
     let mut reversed = stream.clone();
