@@ -32,7 +32,8 @@
 //! Artifacts: `results/index.json` + `results/index.txt`
 //! (deterministic — CI runs the binary twice and `cmp`s both;
 //! schema-gated by `MULTIRAG_CHECK_SCHEMA=1`) and `BENCH_index.json`
-//! at the repo root (wall-clock timings, non-deterministic by nature,
+//! at the repo root (wall-clock timings, best-of and median of the
+//! reps, with the machine's `nproc`; non-deterministic by nature,
 //! never compared).
 //!
 //! ```sh
@@ -40,7 +41,8 @@
 //! ```
 
 use multirag_bench::{
-    alloc_snapshot, check_schema, replicate_graph, schema_outline, seed, CountingAlloc,
+    alloc_snapshot, best_and_median_us, check_schema, nproc, replicate_graph, schema_outline, seed,
+    CountingAlloc,
 };
 use multirag_core::{match_homologous, match_homologous_tiered, HomologousSets};
 use multirag_eval::table::{fmt2, Table};
@@ -100,6 +102,7 @@ struct LegRun {
     allocs: u64,
     bytes: u64,
     best_us: u64,
+    median_us: u64,
     groups: usize,
 }
 
@@ -107,10 +110,8 @@ struct LegRun {
 /// every triple per query. Charges one candidate comparison per
 /// triple visited.
 fn scan_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> LegRun {
-    let mut run = LegRun {
-        best_us: u64::MAX,
-        ..LegRun::default()
-    };
+    let mut run = LegRun::default();
+    let mut timings = Vec::with_capacity(REPS);
     for rep in 0..REPS {
         let (a0, b0) = alloc_snapshot();
         let start = WallTimer::start();
@@ -129,7 +130,7 @@ fn scan_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> LegRu
         }
         let us = start.elapsed_us();
         let (a1, b1) = alloc_snapshot();
-        run.best_us = run.best_us.min(us);
+        timings.push(us);
         if rep == 0 {
             run.sets_digest = digest_sets(&sets);
             run.candidates_digest = digest_candidates(&candidates);
@@ -139,13 +140,16 @@ fn scan_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> LegRu
             run.groups = sets.groups.len();
         }
     }
+    (run.best_us, run.median_us) = best_and_median_us(timings);
     run
 }
 
 /// Descent leg plus its index-side instrumentation.
+#[derive(Default)]
 struct DescentRun {
     leg: LegRun,
     build_us: u64,
+    build_median_us: u64,
     counters: TindexCounters,
     slots: usize,
     bitset_words: usize,
@@ -157,21 +161,13 @@ struct DescentRun {
 /// per-query one. Charges the index's own `bitset_and_ops` counter as
 /// its candidate comparisons.
 fn descent_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> DescentRun {
-    let mut run = DescentRun {
-        leg: LegRun {
-            best_us: u64::MAX,
-            ..LegRun::default()
-        },
-        build_us: u64::MAX,
-        counters: TindexCounters::default(),
-        slots: 0,
-        bitset_words: 0,
-    };
+    let mut run = DescentRun::default();
+    let mut timings = Vec::with_capacity(REPS);
+    let mut build_timings = Vec::with_capacity(REPS);
     for rep in 0..REPS {
         let t_build = WallTimer::start();
         let index = TieredIndex::build(graph);
-        let build_us = t_build.elapsed_us();
-        run.build_us = run.build_us.min(build_us);
+        build_timings.push(t_build.elapsed_us());
         let (a0, b0) = alloc_snapshot();
         let start = WallTimer::start();
         let sets = match_homologous_tiered(&index);
@@ -182,7 +178,7 @@ fn descent_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> De
         }
         let us = start.elapsed_us();
         let (a1, b1) = alloc_snapshot();
-        run.leg.best_us = run.leg.best_us.min(us);
+        timings.push(us);
         if rep == 0 {
             run.leg.sets_digest = digest_sets(&sets);
             run.leg.candidates_digest = digest_candidates(&candidates);
@@ -196,6 +192,8 @@ fn descent_leg(graph: &KnowledgeGraph, queries: &[(EntityId, RelationId)]) -> De
             run.bitset_words = stats.bitset_words;
         }
     }
+    (run.leg.best_us, run.leg.median_us) = best_and_median_us(timings);
+    (run.build_us, run.build_median_us) = best_and_median_us(build_timings);
     run
 }
 
@@ -428,8 +426,11 @@ fn main() {
                 .str("dataset", &c.dataset)
                 .usize("slot_scale", c.factor)
                 .u64("scan_us", c.scan.best_us)
+                .u64("scan_median_us", c.scan.median_us)
                 .u64("descent_us", c.descent.leg.best_us)
+                .u64("descent_median_us", c.descent.leg.median_us)
                 .u64("build_us", c.descent.build_us)
+                .u64("build_median_us", c.descent.build_median_us)
                 .f64("wall_ratio", ratio(c.scan.best_us, c.descent.leg.best_us))
                 .build()
         })
@@ -437,6 +438,7 @@ fn main() {
     let bench = JsonObj::new()
         .u64("seed", seed)
         .str("scale", &scale_str)
+        .usize("nproc", nproc())
         .usize("reps", REPS)
         .arr("rows", bench_rows)
         .f64("wall_ratio_at_16x", wall_ratio)

@@ -21,14 +21,16 @@
 //! Artifacts: `results/perf.json` + `results/perf.txt` (deterministic
 //! — CI runs the binary twice and `cmp`s both; schema-gated by
 //! `MULTIRAG_CHECK_SCHEMA=1`) and `BENCH_perf.json` at the repo root
-//! (wall-clock timings, non-deterministic by nature, never compared).
+//! (wall-clock timings, best-of and median of the reps, with the
+//! machine's `nproc`; non-deterministic by nature, never compared).
 //!
 //! ```sh
 //! cargo run --release -p multirag-bench --bin repro_perf
 //! ```
 
 use multirag_bench::{
-    alloc_snapshot, check_schema, replicate_graph, schema_outline, seed, CountingAlloc,
+    alloc_snapshot, best_and_median_us, check_schema, nproc, replicate_graph, schema_outline, seed,
+    CountingAlloc,
 };
 use multirag_core::confidence::{build_profiles, mcc_filter_profiles, mcc_filter_reference};
 use multirag_core::{KernelCounters, MccOutcome, MklgpPipeline, MultiRagConfig};
@@ -85,6 +87,7 @@ struct StageRun {
     allocs: u64,
     bytes: u64,
     best_us: u64,
+    median_us: u64,
     counters: KernelCounters,
     interner_hits: u64,
     interner_misses: u64,
@@ -105,8 +108,8 @@ enum Mcc {
 /// clone and an interner that owns its copy of the graph keys. The
 /// allocation count is therefore exactly the stage's own traffic.
 /// Allocation counts and op counters come from the first repetition
-/// (they are identical across reps); wall time is best-of-`REPS` in
-/// integer microseconds.
+/// (they are identical across reps); wall time is best-of-`REPS` and
+/// the median of `REPS`, in integer microseconds.
 fn serial_stage(
     pipeline: &MklgpPipeline<'_>,
     kg: &KnowledgeGraph,
@@ -116,10 +119,10 @@ fn serial_stage(
     let groups = pipeline.slot_groups();
     let max_degree = pipeline.max_degree();
     let mut run = StageRun {
-        best_us: u64::MAX,
         groups: groups.len(),
         ..StageRun::default()
     };
+    let mut timings = Vec::with_capacity(REPS);
     for rep in 0..REPS {
         let mut llm = pipeline.llm().clone();
         let history = pipeline.history().clone();
@@ -157,7 +160,7 @@ fn serial_stage(
         }
         let us = timer.elapsed_us();
         let (a1, b1) = alloc_snapshot();
-        run.best_us = run.best_us.min(us);
+        timings.push(us);
         if rep == 0 {
             run.digest = digest_outcomes(&outcomes);
             run.allocs = a1 - a0;
@@ -167,6 +170,7 @@ fn serial_stage(
             run.interner_misses = keys.misses() - m0;
         }
     }
+    (run.best_us, run.median_us) = best_and_median_us(timings);
     run
 }
 
@@ -336,7 +340,9 @@ fn main() {
                 .str("dataset", &c.dataset)
                 .usize("slot_scale", c.factor)
                 .u64("kernel_us", c.kernel.best_us)
+                .u64("kernel_median_us", c.kernel.median_us)
                 .u64("reference_us", c.reference.best_us)
+                .u64("reference_median_us", c.reference.median_us)
                 .f64("wall_ratio", ratio(c.reference.best_us, c.kernel.best_us))
                 .build()
         })
@@ -344,6 +350,7 @@ fn main() {
     let bench = JsonObj::new()
         .u64("seed", seed)
         .str("scale", &scale_str)
+        .usize("nproc", nproc())
         .usize("reps", REPS)
         .arr("rows", bench_rows)
         .f64("wall_ratio_at_16x", wall_ratio)

@@ -4,6 +4,12 @@
 //! unaggregated scan grows linearly — the mechanism that turns the
 //! Flights dataset from "NAN" to seconds in Table III.
 //!
+//! Artifact: `results/repro_scaling.txt` holds the serve-path and
+//! cluster tables with their notes. Both run on simulated time, so the
+//! file is byte-stable for a fixed seed (CI runs the binary twice and
+//! `cmp`s it against the committed copy). The MLG/query table measures
+//! wall time and goes to stdout only.
+//!
 //! ```sh
 //! cargo run --release -p multirag-bench --bin repro_scaling
 //! ```
@@ -111,10 +117,10 @@ fn main() {
         );
         last_qps = point.throughput_qps;
     }
-    println!("{}", serve_table.render());
-    println!(
-        "Workers scale simulated throughput until queueing stops dominating; shed counts fall\n\
-         as capacity absorbs the closed-loop burst (32 clients, queue depth {}).",
+    let mut artifact = format!(
+        "{}\nWorkers scale simulated throughput until queueing stops dominating; shed counts fall\n\
+         as capacity absorbs the closed-loop burst (32 clients, queue depth {}).\n",
+        serve_table.render(),
         serve_cfg.queue_depth
     );
 
@@ -171,9 +177,16 @@ fn main() {
         );
         last_qps = point.throughput_qps;
     }
-    println!("{}", cluster_table.render());
-    println!(
-        "Shards scale the same workload horizontally: every node answers from the shared\n\
-         epoch snapshot, so the curve above is pure capacity — never answer drift."
-    );
+    artifact.push_str(&format!(
+        "{}\nShards scale the same workload horizontally: every node answers from the shared\n\
+         epoch snapshot, so the curve above is pure capacity — never answer drift.\n",
+        cluster_table.render()
+    ));
+    print!("{artifact}");
+    match std::fs::create_dir_all("results")
+        .and_then(|_| std::fs::write("results/repro_scaling.txt", &artifact))
+    {
+        Ok(()) => println!("wrote results/repro_scaling.txt"),
+        Err(e) => println!("note: could not write results/repro_scaling.txt: {e}"),
+    }
 }

@@ -33,7 +33,6 @@ use multirag_datasets::Query;
 use multirag_eval::table::Table;
 use multirag_faults::FaultPlan;
 use multirag_kg::persist;
-use multirag_obs::Observer;
 use multirag_serve::{
     build_workload, closed_loop_timeline, feedback_tally, level_row, serve_report_json,
     serve_sequential, serve_with_admission, tally_answers, CacheStack, EpochIndex, EpochSnapshot,
@@ -115,10 +114,7 @@ fn main() {
         "warm start must reconstruct every triple"
     );
     let index = EpochIndex::new(writer.publish());
-    let obs = Observer::metrics_only();
-    index.attach_metrics(obs.registry());
     let caches = CacheStack::new();
-    caches.attach_metrics(obs.registry());
 
     let mut epochs: Vec<EpochSummary> = Vec::new();
     let mut levels: Vec<LevelReport> = Vec::new();

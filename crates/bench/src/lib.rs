@@ -14,7 +14,7 @@
 //! | `repro_fig7`   | Fig. 7 — α hyper-parameter sweep |
 //! | `repro_error_analysis` | §IV Q4 — hallucination / failure taxonomy |
 //! | `repro_sensitivity` | design-choice sweeps beyond α (θ, graph threshold, top-k, H, β) |
-//! | `repro_scaling` | Q5 scaling study + serve-path throughput vs workers |
+//! | `repro_scaling` | Q5 scaling study + serve-path and cluster throughput (`results/repro_scaling.txt`) |
 //! | `repro_serve` | serving harness: epochs, caches, closed-loop load (`results/serve.json`) |
 //! | `repro_slo` | SLO telemetry: burn-rate alerts, log-bucket percentiles, tail attribution (`results/slo.json`) |
 //! | `repro_cluster` | sharded serving: 1-node == N-node parity, merge tier, shard scaling (`results/cluster.json`) |
@@ -87,6 +87,19 @@ pub fn alloc_snapshot() -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     )
+}
+
+/// Best-of and median of one measurement's repeated wall timings
+/// (µs), the pair the `BENCH_*.json` companions report per row.
+pub fn best_and_median_us(mut timings: Vec<u64>) -> (u64, u64) {
+    timings.sort_unstable();
+    let best = timings.first().copied().unwrap_or(0);
+    (best, multirag_obs::nearest_rank(&timings, 50))
+}
+
+/// Cores this process may run on, recorded beside wall timings.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Reads the experiment scale from `MULTIRAG_SCALE`.

@@ -7,7 +7,6 @@
 //! shared across queries (and threads — the harness fans out).
 
 use multirag_kg::SourceId;
-use multirag_obs::MetricsRegistry;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +26,6 @@ pub struct HistoryStore {
     prior: f64,
     pseudo: f64,
     inner: RwLock<HashMap<SourceId, SourceHistory>>,
-    metrics: RwLock<Option<MetricsRegistry>>,
     /// When set, [`record`](HistoryStore::record) becomes a no-op: the
     /// serving path freezes credibility for the lifetime of an epoch so
     /// answers are pure functions of `(epoch, query)` regardless of the
@@ -44,19 +42,8 @@ impl HistoryStore {
             prior: prior.clamp(0.0, 1.0),
             pseudo: pseudo.max(0.0),
             inner: RwLock::new(HashMap::new()),
-            metrics: RwLock::new(None),
             frozen: AtomicBool::new(false),
         }
-    }
-
-    /// Attaches a metrics registry; every subsequent [`record`]
-    /// increments `history_updates_total` / `history_claims_total` /
-    /// `history_correct_claims_total` and refreshes the
-    /// `history_tracked_sources` gauge.
-    ///
-    /// [`record`]: HistoryStore::record
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        *self.metrics.write() = Some(metrics);
     }
 
     /// The paper's defaults: H = 50 pseudo-entities at a neutral 0.5.
@@ -80,11 +67,18 @@ impl HistoryStore {
         map.get(&source).map(|h| h.total).unwrap_or(self.pseudo)
     }
 
+    /// Number of sources with recorded history.
+    pub fn tracked_sources(&self) -> usize {
+        self.inner.read().len()
+    }
+
     /// Records the outcome of one query for a source: `correct` of
-    /// `total` claims it contributed were right.
-    pub fn record(&self, source: SourceId, correct: usize, total: usize) {
+    /// `total` claims it contributed were right. Returns whether the
+    /// store took the update — a frozen store and an empty record
+    /// leave it unchanged.
+    pub fn record(&self, source: SourceId, correct: usize, total: usize) -> bool {
         if total == 0 || self.frozen.load(Ordering::Relaxed) {
-            return;
+            return false;
         }
         let mut map = self.inner.write();
         let entry = map.entry(source).or_insert(SourceHistory {
@@ -93,14 +87,7 @@ impl HistoryStore {
         });
         entry.correct += correct as f64;
         entry.total += total as f64;
-        let tracked = map.len();
-        drop(map);
-        if let Some(metrics) = self.metrics.read().as_ref() {
-            metrics.inc("history_updates_total", 1);
-            metrics.inc("history_claims_total", total as u64);
-            metrics.inc("history_correct_claims_total", correct as u64);
-            metrics.gauge_set("history_tracked_sources", tracked as f64);
-        }
+        true
     }
 
     /// Eq. 11: `Auth_hist(v) = (H·Pr^h(D) + Σ Pr(v_p)) / (H + |Data(q,
@@ -141,14 +128,13 @@ impl HistoryStore {
 }
 
 impl Clone for HistoryStore {
-    /// Clones the credibility state. The metrics attachment is shared;
-    /// the frozen flag is copied (each clone toggles independently).
+    /// Clones the credibility state. The frozen flag is copied (each
+    /// clone toggles independently).
     fn clone(&self) -> Self {
         Self {
             prior: self.prior,
             pseudo: self.pseudo,
             inner: RwLock::new(self.inner.read().clone()),
-            metrics: RwLock::new(self.metrics.read().clone()),
             frozen: AtomicBool::new(self.is_frozen()),
         }
     }
@@ -198,8 +184,9 @@ mod tests {
     #[test]
     fn zero_total_records_are_ignored() {
         let store = HistoryStore::paper_defaults();
-        store.record(SourceId(4), 0, 0);
+        assert!(!store.record(SourceId(4), 0, 0));
         assert_eq!(store.credibility(SourceId(4)), 0.5);
+        assert_eq!(store.tracked_sources(), 0);
     }
 
     #[test]
@@ -238,30 +225,16 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_count_record_outcomes() {
-        let store = HistoryStore::paper_defaults();
-        let metrics = MetricsRegistry::new();
-        store.attach_metrics(metrics.clone());
-        store.record(SourceId(0), 3, 4);
-        store.record(SourceId(1), 1, 2);
-        store.record(SourceId(2), 0, 0); // ignored — no update counted
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("history_updates_total"), 2);
-        assert_eq!(snap.counter("history_claims_total"), 6);
-        assert_eq!(snap.counter("history_correct_claims_total"), 4);
-        assert_eq!(snap.gauge("history_tracked_sources"), Some(2.0));
-    }
-
-    #[test]
     fn frozen_stores_ignore_records_until_thawed() {
         let store = HistoryStore::paper_defaults();
         store.freeze();
         assert!(store.is_frozen());
-        store.record(SourceId(9), 100, 100);
+        assert!(!store.record(SourceId(9), 100, 100));
         assert_eq!(store.credibility(SourceId(9)), 0.5);
         store.thaw();
-        store.record(SourceId(9), 100, 100);
+        assert!(store.record(SourceId(9), 100, 100));
         assert!(store.credibility(SourceId(9)) > 0.5);
+        assert_eq!(store.tracked_sources(), 1);
     }
 
     #[test]

@@ -16,15 +16,12 @@
 //! changed (a source quarantined mid-plan, a new claim streamed in)
 //! misses cleanly. Entries are only valid within one epoch — `C(G)`
 //! thresholds, `max_degree` and frozen credibility are epoch-scoped —
-//! so the serving layer clears the memo on every swap.
+//! so the serving layer clears the memo on every swap. The memo itself
+//! is the one cache type, [`multirag_kg::SharedCache`].
 
 use crate::confidence::{ClaimProfile, GraphConfidence, NodeConfidence};
-use multirag_kg::{EntityId, FxHashMap, KeyInterner, KnowledgeGraph, RelationId};
-use multirag_obs::MetricsRegistry;
-use parking_lot::Mutex;
+use multirag_kg::{EntityId, KeyInterner, KnowledgeGraph, RelationId, SharedCache};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A memoized MCC verdict for one slot subgraph.
 #[derive(Debug, Clone, Default)]
@@ -70,81 +67,10 @@ pub fn profile_fingerprint(
     hasher.finish()
 }
 
-#[derive(Debug, Default)]
-struct MemoInner {
-    entries: FxHashMap<u64, SlotVerdict>,
-    metrics: Option<MetricsRegistry>,
-}
-
-/// Shared, thread-safe MCC verdict memo. Cheap to clone — all clones
-/// share one store and one set of hit/miss counters.
-#[derive(Debug, Clone, Default)]
-pub struct ConfidenceMemo {
-    inner: Arc<Mutex<MemoInner>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-}
-
-impl ConfidenceMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a metrics registry: lookups bump
-    /// `mcc_memo_hits_total` / `mcc_memo_misses_total`.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.lock().metrics = Some(metrics);
-    }
-
-    /// Looks up a verdict, counting the hit or miss.
-    pub fn get(&self, key: u64) -> Option<SlotVerdict> {
-        let inner = self.inner.lock();
-        let found = inner.entries.get(&key).cloned();
-        match (&found, &inner.metrics) {
-            (Some(_), Some(m)) => m.inc("mcc_memo_hits_total", 1),
-            (None, Some(m)) => m.inc("mcc_memo_misses_total", 1),
-            _ => {}
-        }
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Stores a verdict.
-    pub fn put(&self, key: u64, verdict: SlotVerdict) {
-        self.inner.lock().entries.insert(key, verdict);
-    }
-
-    /// Drops every entry (epoch swap). Counters survive — they describe
-    /// the run, not the epoch.
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
-    }
-
-    /// Number of memoized slots.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
+/// Shared, thread-safe MCC verdict memo keyed by
+/// [`profile_fingerprint`]. Cheap to clone — all clones share one store
+/// and one set of hit/miss counters.
+pub type ConfidenceMemo = SharedCache<SlotVerdict>;
 
 #[cfg(test)]
 mod tests {
@@ -199,37 +125,5 @@ mod tests {
             profile_fingerprint(&kg, e, r, &profiles[..1], &keys),
             "membership change must miss"
         );
-    }
-
-    #[test]
-    fn memo_counts_hits_and_misses_and_clears() {
-        let memo = ConfidenceMemo::new();
-        let metrics = MetricsRegistry::new();
-        memo.attach_metrics(metrics.clone());
-        assert!(memo.get(7).is_none());
-        memo.put(
-            7,
-            SlotVerdict {
-                dropped: 1,
-                gated: 3,
-                ..SlotVerdict::default()
-            },
-        );
-        let verdict = memo.get(7).expect("stored");
-        assert_eq!(verdict.dropped, 1);
-        assert_eq!(verdict.gated, 3);
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("mcc_memo_hits_total"), 1);
-        assert_eq!(snap.counter("mcc_memo_misses_total"), 1);
-        // Clones share the store and the counters.
-        let alias = memo.clone();
-        assert!(alias.get(7).is_some());
-        assert_eq!(memo.hits(), 2);
-        alias.clear();
-        assert!(memo.is_empty());
-        assert!(memo.get(7).is_none());
-        assert_eq!(memo.hits(), 2);
-        assert_eq!(memo.misses(), 2);
     }
 }

@@ -211,6 +211,9 @@ struct AnswerStats {
     /// Closed-loop events (grade failures, escalations) in occurrence
     /// order, republished into the trace.
     events: Vec<TraceEvent>,
+    /// Eq. 11 history records the store took during this answer:
+    /// `(updates, claims, correct claims)`.
+    history: (u64, u64, u64),
 }
 
 /// What the escalation loop reported back to `answer_with_stats`.
@@ -254,6 +257,21 @@ fn push_loop_spans(
 }
 
 impl AnswerStats {
+    /// Records one Eq. 11 outcome, counting it if the store takes it.
+    fn record_history(
+        &mut self,
+        history: &HistoryStore,
+        source: SourceId,
+        correct: usize,
+        total: usize,
+    ) {
+        if history.record(source, correct, total) {
+            self.history.0 += 1;
+            self.history.1 += total as u64;
+            self.history.2 += correct as u64;
+        }
+    }
+
     /// Closes a span: wall from `started`, simulated time as the meter
     /// delta over the region.
     fn span(
@@ -473,18 +491,16 @@ impl<'g> MklgpPipeline<'g> {
         }
     }
 
-    /// Attaches an observer: the LLM mirrors its meter into the shared
-    /// registry, history updates are counted, graph-shape gauges are
-    /// set, and the (already paid) `mlg_build` cost is recorded as a
-    /// span — zero wall for a bound pipeline, whose aggregation was
-    /// paid once when its [`GraphState`] was built. Every subsequent
-    /// [`answer`] emits a [`QueryTrace`].
+    /// Attaches an observer: graph-shape gauges are set, and the
+    /// (already paid) `mlg_build` cost is recorded as a span — zero
+    /// wall for a bound pipeline, whose aggregation was paid once when
+    /// its [`GraphState`] was built. Every subsequent [`answer`] emits
+    /// a [`QueryTrace`] and publishes its LLM usage, history records
+    /// and kernel counters into the observer's registry.
     ///
     /// [`answer`]: MklgpPipeline::answer
     pub fn with_observer(mut self, obs: ObsHandle) -> Self {
         let registry = obs.registry();
-        self.llm = self.llm.clone().with_metrics(registry.clone());
-        self.history.attach_metrics(registry.clone());
         registry.gauge_set("graph_sources", self.kg.source_count() as f64);
         registry.gauge_set("graph_triples", self.kg.triple_count() as f64);
         registry.gauge_set("graph_quarantined_sources", self.quarantined.len() as f64);
@@ -646,43 +662,53 @@ impl<'g> MklgpPipeline<'g> {
         let usage_before = self.llm.usage();
         let mut stats = AnswerStats::default();
         let answer = self.answer_with_stats(query, &mut stats);
-        self.flush_kernel_metrics();
         if let Some(obs) = self.obs.clone() {
+            self.publish_metrics(&obs, &usage_before, stats.history);
             let trace = self.build_trace(query, &answer, stats, &usage_before);
             obs.finish_query(trace);
         }
         answer
     }
 
-    /// Publishes kernel-counter deltas into the observer's metrics
-    /// registry: `mcc_nmi_pairs_total`, `claim_profiles_built_total`,
-    /// `claim_key_interner_hits_total`, `claim_key_interner_misses_total`.
-    /// Deltas since the last flush, so repeated calls never double-count;
-    /// zero deltas are skipped so metric exports only list counters that
-    /// actually moved.
-    fn flush_kernel_metrics(&mut self) {
-        let Some(obs) = &self.obs else { return };
+    /// Publishes one answer's LLM usage (since `before`), its Eq. 11
+    /// `history` records and the kernel, interner and tier-descent
+    /// counters into the observer's registry. The last three are
+    /// deltas against watermarks, not a per-answer snapshot, so the
+    /// first publish carries the interner's up-front `for_graph`
+    /// misses. Zero deltas are skipped so metric exports only list
+    /// counters that actually moved.
+    fn publish_metrics(&mut self, obs: &ObsHandle, before: &LlmUsage, history: (u64, u64, u64)) {
         let registry = obs.registry();
-        let now = (
+        let usage = self.llm.usage();
+        let kernel = (
             self.kernel.nmi_pairs,
             self.kernel.profiles_built,
             self.keys.hits(),
             self.keys.misses(),
         );
+        let tdelta = self.tcounters.since(self.flushed_tindex);
         for (name, delta) in [
-            ("mcc_nmi_pairs_total", now.0 - self.flushed.0),
-            ("claim_profiles_built_total", now.1 - self.flushed.1),
-            ("claim_key_interner_hits_total", now.2 - self.flushed.2),
-            ("claim_key_interner_misses_total", now.3 - self.flushed.3),
-        ] {
-            if delta > 0 {
-                registry.inc(name, delta);
-            }
-        }
-        self.flushed = now;
-        let tnow = self.tcounters;
-        let tdelta = tnow.since(self.flushed_tindex);
-        for (name, delta) in [
+            ("llm_calls_total", usage.calls - before.calls),
+            (
+                "llm_input_tokens_total",
+                usage.input_tokens - before.input_tokens,
+            ),
+            (
+                "llm_output_tokens_total",
+                usage.output_tokens - before.output_tokens,
+            ),
+            ("llm_retries_total", usage.retries - before.retries),
+            (
+                "llm_failed_calls_total",
+                usage.failed_calls - before.failed_calls,
+            ),
+            ("history_updates_total", history.0),
+            ("history_claims_total", history.1),
+            ("history_correct_claims_total", history.2),
+            ("mcc_nmi_pairs_total", kernel.0 - self.flushed.0),
+            ("claim_profiles_built_total", kernel.1 - self.flushed.1),
+            ("claim_key_interner_hits_total", kernel.2 - self.flushed.2),
+            ("claim_key_interner_misses_total", kernel.3 - self.flushed.3),
             ("tindex_tier_descents_total", tdelta.tier_descents),
             ("tindex_bitset_and_ops_total", tdelta.bitset_and_ops),
             ("tindex_candidates_pruned_total", tdelta.candidates_pruned),
@@ -691,7 +717,12 @@ impl<'g> MklgpPipeline<'g> {
                 registry.inc(name, delta);
             }
         }
-        self.flushed_tindex = tnow;
+        if history.0 > 0 {
+            let tracked = self.history.tracked_sources() as f64;
+            registry.gauge_set("history_tracked_sources", tracked);
+        }
+        self.flushed = kernel;
+        self.flushed_tindex = self.tcounters;
     }
 
     /// Algorithm 2's body, recording raw observations into `stats`.
@@ -775,7 +806,7 @@ impl<'g> MklgpPipeline<'g> {
             for (source, skipped) in down_tally {
                 quarantined_claims += skipped;
                 stats.quarantined.push((source, skipped));
-                self.history.record(source, 0, skipped);
+                stats.record_history(&self.history, source, 0, skipped);
             }
             (slot, noise)
         };
@@ -1083,7 +1114,7 @@ impl<'g> MklgpPipeline<'g> {
             }
         }
         for (source, (correct, total)) in per_source {
-            self.history.record(source, correct, total);
+            stats.record_history(&self.history, source, correct, total);
         }
 
         PipelineAnswer {
@@ -1922,6 +1953,62 @@ mod tests {
                 assert!(t.answer.abstain_reason.is_some());
             }
         }
+    }
+
+    #[test]
+    fn observed_answers_publish_llm_usage_and_history_records() {
+        let data = dataset();
+        let plan = FaultPlan {
+            outage_rate: 0.3,
+            llm_failure_rate: 0.5,
+            ..FaultPlan::healthy(7)
+        };
+        let obs = multirag_obs::Observer::new();
+        let mut p = MklgpPipeline::new(&data.graph, MultiRagConfig::default(), 42)
+            .with_fault_plan(plan)
+            .with_observer(obs.clone());
+        let sources = || (0..data.graph.source_count()).map(|i| SourceId(i as u32));
+        let observed = |p: &MklgpPipeline| sources().map(|s| p.history().observations(s)).sum();
+        let observed_before: f64 = observed(&p);
+        for q in &data.queries {
+            p.answer(q);
+        }
+        let snap = obs.registry().snapshot();
+        let usage = p.llm().usage();
+        assert!(usage.retries > 0 && usage.failed_calls > 0, "{usage:?}");
+        assert_eq!(snap.counter("llm_calls_total"), usage.calls);
+        assert_eq!(snap.counter("llm_input_tokens_total"), usage.input_tokens);
+        assert_eq!(snap.counter("llm_output_tokens_total"), usage.output_tokens);
+        assert_eq!(snap.counter("llm_retries_total"), usage.retries);
+        assert_eq!(snap.counter("llm_failed_calls_total"), usage.failed_calls);
+        let claims = snap.counter("history_claims_total");
+        assert!(claims > 0);
+        assert_eq!(claims as f64, observed(&p) - observed_before);
+        assert_eq!(
+            snap.gauge("history_tracked_sources"),
+            Some(p.history().tracked_sources() as f64)
+        );
+
+        // A frozen store takes no record, so nothing history-shaped is
+        // published — the LLM usage still is.
+        let state = GraphState::new(&data.graph, KeyInterner::for_graph(&data.graph));
+        let frozen = HistoryStore::paper_defaults();
+        frozen.freeze();
+        let obs = multirag_obs::Observer::new();
+        let mut bound =
+            MklgpPipeline::bind(&data.graph, &state, MultiRagConfig::default(), 42, frozen)
+                .with_observer(obs.clone());
+        for q in &data.queries {
+            bound.answer(q);
+        }
+        let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter("llm_calls_total"), bound.llm().usage().calls);
+        assert!(snap.counter("llm_calls_total") > 0);
+        assert!(snap
+            .counters
+            .iter()
+            .all(|(k, _)| !k.starts_with("history_")));
+        assert!(snap.gauge("history_tracked_sources").is_none());
     }
 
     #[test]

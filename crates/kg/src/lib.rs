@@ -10,6 +10,9 @@
 //! * [`hash`] — a fast FxHash-style hasher and the [`FxHashMap`] /
 //!   [`FxHashSet`] aliases used throughout the workspace (interned-id keys
 //!   dominate, where SipHash is needlessly slow).
+//! * [`cache`] — [`SharedCache`], the one hit/miss-counting cache type
+//!   behind the serving layer's result, MCC-verdict and LLM-response
+//!   caches.
 //! * [`intern`] — a string interner mapping entity / relation / value
 //!   strings to dense `u32` symbols.
 //! * [`value`] — the literal value model ([`Value`]) shared by the ingest
@@ -33,6 +36,7 @@
 //! The crate has no dependencies and is fully deterministic.
 
 pub mod algo;
+pub mod cache;
 pub mod graph;
 pub mod hash;
 pub mod intern;
@@ -42,6 +46,7 @@ pub mod tindex;
 pub mod triple;
 pub mod value;
 
+pub use cache::SharedCache;
 pub use graph::{GraphStats, KnowledgeGraph, TripleId};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Interner, KeyInterner, Symbol};

@@ -22,7 +22,6 @@ use multirag_faults::{
     ms_to_us, us_to_ms, FaultDecision, FaultKind, FaultPlan, RetryOutcome, RetryPolicy,
 };
 use multirag_kg::Value;
-use multirag_obs::MetricsRegistry;
 use multirag_retrieval::text::raw_tokens;
 use std::sync::Arc;
 
@@ -125,7 +124,6 @@ pub struct MockLlm {
     usage: LlmUsage,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
-    metrics: Option<MetricsRegistry>,
     cache: Option<LlmResponseCache>,
 }
 
@@ -142,18 +140,8 @@ impl MockLlm {
             usage: LlmUsage::default(),
             faults: None,
             retry: RetryPolicy::default(),
-            metrics: None,
             cache: None,
         }
-    }
-
-    /// Mirrors every metered call into a shared metrics registry:
-    /// `llm_calls_total`, token counters, the `llm_call_ms` latency
-    /// histogram, and the retry/failure counters. The usage meter keeps
-    /// working unchanged without one.
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Overrides the latency model.
@@ -262,12 +250,6 @@ impl MockLlm {
         self.usage.input_tokens += input_text_tokens as u64;
         self.usage.output_tokens += output_tokens as u64;
         self.usage.simulated_ms += call_ms;
-        if let Some(metrics) = &self.metrics {
-            metrics.inc("llm_calls_total", 1);
-            metrics.inc("llm_input_tokens_total", input_text_tokens as u64);
-            metrics.inc("llm_output_tokens_total", output_tokens as u64);
-            metrics.observe_ms("llm_call_ms", call_ms);
-        }
     }
 
     /// Meters one logical call under the fault plan: retries failed
@@ -322,28 +304,15 @@ impl MockLlm {
         self.usage.calls += 1;
         self.usage.input_tokens += input_text_tokens as u64;
         self.usage.simulated_ms += total_ms;
-        if let Some(metrics) = &self.metrics {
-            metrics.inc("llm_calls_total", 1);
-            metrics.inc("llm_input_tokens_total", input_text_tokens as u64);
-            metrics.observe_ms("llm_call_ms", total_ms);
-        }
         match outcome {
             RetryOutcome::Succeeded { attempt } => {
                 self.usage.retries += u64::from(attempt);
                 self.usage.output_tokens += output_tokens as u64;
-                if let Some(metrics) = &self.metrics {
-                    metrics.inc("llm_retries_total", u64::from(attempt));
-                    metrics.inc("llm_output_tokens_total", output_tokens as u64);
-                }
                 Ok(())
             }
             RetryOutcome::Exhausted { attempts } => {
                 self.usage.retries += u64::from(attempts.saturating_sub(1));
                 self.usage.failed_calls += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.inc("llm_retries_total", u64::from(attempts.saturating_sub(1)));
-                    metrics.inc("llm_failed_calls_total", 1);
-                }
                 Err(LlmError::Exhausted {
                     call_key: call_key.to_string(),
                     attempts,
@@ -352,10 +321,6 @@ impl MockLlm {
             RetryOutcome::DeadlineExceeded { attempts } => {
                 self.usage.retries += u64::from(attempts.saturating_sub(1));
                 self.usage.failed_calls += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.inc("llm_retries_total", u64::from(attempts.saturating_sub(1)));
-                    metrics.inc("llm_failed_calls_total", 1);
-                }
                 Err(LlmError::DeadlineExceeded {
                     call_key: call_key.to_string(),
                     attempts,
@@ -912,41 +877,6 @@ mod tests {
         let (warm, under_faults) = healthy_then_dead(LlmResponseCache::new());
         // The cached response keeps serving through a total LLM outage.
         assert_eq!(under_faults.expect("served from cache"), warm);
-    }
-
-    #[test]
-    fn metrics_registry_mirrors_the_usage_meter() {
-        let reg = MetricsRegistry::new();
-        let mut llm = MockLlm::new(schema(), 42).with_metrics(reg.clone());
-        llm.extract_triples("The status of CA981 is delayed.");
-        llm.try_logic_form("q1", "What is the status of CA981?")
-            .unwrap();
-        let snap = reg.snapshot();
-        let usage = llm.usage();
-        assert_eq!(snap.counter("llm_calls_total"), usage.calls);
-        assert_eq!(snap.counter("llm_input_tokens_total"), usage.input_tokens);
-        assert_eq!(snap.counter("llm_output_tokens_total"), usage.output_tokens);
-        let h = snap.histogram("llm_call_ms").unwrap();
-        assert_eq!(h.count, usage.calls);
-        assert!((h.sum - usage.simulated_ms).abs() < 1e-3);
-    }
-
-    #[test]
-    fn metrics_registry_counts_retries_and_failures() {
-        let plan = FaultPlan {
-            llm_failure_rate: 1.0,
-            ..FaultPlan::healthy(7)
-        };
-        let reg = MetricsRegistry::new();
-        let mut llm = MockLlm::new(schema(), 7)
-            .with_fault_plan(plan)
-            .with_metrics(reg.clone());
-        llm.try_logic_form("q1", "What is the status of CA981?")
-            .unwrap_err();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("llm_failed_calls_total"), 1);
-        assert_eq!(snap.counter("llm_retries_total"), 2);
-        assert_eq!(snap.counter("llm_output_tokens_total"), 0);
     }
 
     #[test]

@@ -11,18 +11,15 @@
 //!
 //! A hit skips metering *and* the fault plan: no call is placed, so no
 //! fault can hit it — cached answers keep serving through an LLM
-//! brownout, which is precisely their operational value.
+//! brownout, which is precisely their operational value. The cache
+//! itself is the one cache type, [`multirag_kg::SharedCache`].
 //!
 //! [`MockLlm`]: crate::MockLlm
 
 use crate::halluc::GeneratedAnswer;
 use crate::logic::LogicForm;
-use multirag_kg::{FxHashMap, FxHasher};
-use multirag_obs::MetricsRegistry;
-use parking_lot::Mutex;
+use multirag_kg::{FxHasher, SharedCache};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A memoized LLM response.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,81 +32,10 @@ pub enum CachedResponse {
     Authority(f64),
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: FxHashMap<u64, CachedResponse>,
-    metrics: Option<MetricsRegistry>,
-}
-
 /// Shared, thread-safe response cache. Cheap to clone — all clones
 /// share one store and one set of hit/miss counters, so a worker pool
 /// of pipelines deduplicates LLM work across threads.
-#[derive(Debug, Clone, Default)]
-pub struct LlmResponseCache {
-    inner: Arc<Mutex<CacheInner>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-}
-
-impl LlmResponseCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a metrics registry: lookups bump
-    /// `llm_cache_hits_total` / `llm_cache_misses_total`.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.lock().metrics = Some(metrics);
-    }
-
-    /// Looks up a response, counting the hit or miss.
-    pub fn get(&self, key: u64) -> Option<CachedResponse> {
-        let inner = self.inner.lock();
-        let found = inner.entries.get(&key).cloned();
-        match (&found, &inner.metrics) {
-            (Some(_), Some(m)) => m.inc("llm_cache_hits_total", 1),
-            (None, Some(m)) => m.inc("llm_cache_misses_total", 1),
-            _ => {}
-        }
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Stores a response.
-    pub fn put(&self, key: u64, response: CachedResponse) {
-        self.inner.lock().entries.insert(key, response);
-    }
-
-    /// Drops every entry (counters survive).
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
-    }
-
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
+pub type LlmResponseCache = SharedCache<CachedResponse>;
 
 /// Builds a cache key from a call's complete input set. Strings are
 /// length-prefix hashed by `Hash`; floats contribute their exact bit
@@ -162,27 +88,6 @@ impl KeyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_counts_hits_and_misses_and_clears() {
-        let cache = LlmResponseCache::new();
-        let metrics = MetricsRegistry::new();
-        cache.attach_metrics(metrics.clone());
-        assert!(cache.get(1).is_none());
-        cache.put(1, CachedResponse::Authority(0.75));
-        assert_eq!(cache.get(1), Some(CachedResponse::Authority(0.75)));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("llm_cache_hits_total"), 1);
-        assert_eq!(snap.counter("llm_cache_misses_total"), 1);
-        // Clones share everything.
-        let alias = cache.clone();
-        assert_eq!(alias.len(), 1);
-        alias.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(1).is_none());
-        assert_eq!(cache.misses(), 2);
-    }
 
     #[test]
     fn key_builder_separates_operands_and_kinds() {

@@ -22,8 +22,8 @@
 //!   share.
 //!
 //! Layering: this crate sits next to `multirag-faults` at the bottom of
-//! the workspace (no internal dependencies), so `llmsim`, `ingest`,
-//! `core` and the harness crates can all report into it.
+//! the workspace (no internal dependencies), so `ingest`, `core`,
+//! `cluster` and the harness crates can all report into it.
 
 pub mod json;
 pub mod metrics;

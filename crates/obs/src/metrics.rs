@@ -11,7 +11,7 @@
 //!    `tests/proptest_metrics.rs`).
 //! 2. **Cheap.** One mutex around three `BTreeMap`s; recording is a
 //!    lookup + integer add. The registry is `Clone` (shared handle), so
-//!    the pipeline, the LLM client and the harness can all feed the same
+//!    the observer, the pipeline and the harness can all feed the same
 //!    store.
 //! 3. **Two expositions.** [`MetricsSnapshot::to_json`] for the
 //!    `results/obs_*.json` artifacts and
@@ -127,7 +127,7 @@ struct Inner {
 ///
 /// let reg = MetricsRegistry::new();
 /// reg.inc("llm_calls_total", 1);
-/// reg.observe_ms("llm_call_ms", 42.0);
+/// reg.observe_ms("stage_sim_ms", 42.0);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("llm_calls_total"), 1);
 /// assert!(snap.to_prometheus().contains("llm_calls_total 1"));

@@ -12,7 +12,6 @@
 use crate::metrics::{labeled, MetricsRegistry, DEFAULT_S_BUCKETS};
 use crate::trace::{QueryTrace, Stage, StageSpan, TraceEvent};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A shared observer handle. Cheap to clone; all clones feed the same
@@ -26,7 +25,7 @@ pub struct StageProfile {
     pub stage: Stage,
     /// Spans recorded.
     pub spans: u64,
-    /// Total measured wall seconds.
+    /// Total measured wall seconds (micro-unit exact).
     pub wall_s: f64,
     /// Total simulated LLM milliseconds (micro-unit exact).
     pub sim_ms: f64,
@@ -36,22 +35,12 @@ pub struct StageProfile {
     pub output: u64,
 }
 
-#[derive(Debug, Default)]
-struct StageAgg {
-    spans: u64,
-    wall_s: f64,
-    sim_micro_ms: i128,
-    input: u64,
-    output: u64,
-}
-
 /// Metrics + trace collection for one experiment run.
 #[derive(Debug, Default)]
 pub struct Observer {
     registry: MetricsRegistry,
     capture_traces: bool,
     traces: Mutex<Vec<QueryTrace>>,
-    stages: Mutex<BTreeMap<&'static str, StageAgg>>,
 }
 
 impl Observer {
@@ -75,8 +64,8 @@ impl Observer {
         self.registry.clone()
     }
 
-    /// Records one span: stage histograms, cardinality counters and the
-    /// profile aggregation.
+    /// Records one span into the stage histograms and cardinality
+    /// counters [`Observer::profile`] reads back.
     pub fn record_span(&self, span: &StageSpan) {
         let stage = span.stage.name();
         self.registry.observe_with(
@@ -94,13 +83,6 @@ impl Observer {
             &labeled("stage_output_total", &[("stage", stage)]),
             span.output as u64,
         );
-        let mut stages = self.stages.lock();
-        let agg = stages.entry(stage).or_default();
-        agg.spans += 1;
-        agg.wall_s += span.wall_s;
-        agg.sim_micro_ms += (span.sim_ms * 1e6).round() as i128;
-        agg.input += span.input as u64;
-        agg.output += span.output as u64;
     }
 
     /// Records one structured event as named chaos/ingest metrics.
@@ -178,19 +160,23 @@ impl Observer {
         self.traces.lock().clone()
     }
 
-    /// The per-stage cost aggregation, in pipeline order.
+    /// The per-stage cost aggregation, in pipeline order, read back
+    /// from the registry's stage series. Sums are micro-unit exact.
     pub fn profile(&self) -> Vec<StageProfile> {
-        let stages = self.stages.lock();
+        let snap = self.registry.snapshot();
         Stage::ALL
             .iter()
             .filter_map(|&stage| {
-                stages.get(stage.name()).map(|agg| StageProfile {
+                let series = |name| labeled(name, &[("stage", stage.name())]);
+                let wall = snap.histogram(&series("stage_wall_seconds"))?;
+                let sim = snap.histogram(&series("stage_sim_ms"))?;
+                Some(StageProfile {
                     stage,
-                    spans: agg.spans,
-                    wall_s: agg.wall_s,
-                    sim_ms: agg.sim_micro_ms as f64 / 1e6,
-                    input: agg.input,
-                    output: agg.output,
+                    spans: wall.count,
+                    wall_s: wall.sum,
+                    sim_ms: sim.sum,
+                    input: snap.counter(&series("stage_input_total")),
+                    output: snap.counter(&series("stage_output_total")),
                 })
             })
             .collect()

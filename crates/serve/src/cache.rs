@@ -18,16 +18,14 @@
 //! so entries from an old epoch can only hit when the call would have
 //! been bit-identical anyway — which is exactly why it is allowed to
 //! survive swaps while the two epoch-scoped levels are not.
+//! All three levels are one type, [`multirag_kg::SharedCache`]; their
+//! hit and miss counts are read through [`CacheStack::counters`].
 
 use multirag_core::{ConfidenceMemo, PipelineAnswer};
 use multirag_datasets::Query;
-use multirag_kg::{FxHashMap, FxHasher};
+use multirag_kg::{FxHasher, SharedCache};
 use multirag_llmsim::LlmResponseCache;
-use multirag_obs::MetricsRegistry;
-use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Exact-match cache key: the query's stable slot key plus its surface
 /// text, so a paraphrase (same slot, different wording) misses L1 and
@@ -39,81 +37,9 @@ pub fn result_key(query: &Query) -> u64 {
     hasher.finish()
 }
 
-#[derive(Debug, Default)]
-struct ResultInner {
-    entries: FxHashMap<u64, PipelineAnswer>,
-    metrics: Option<MetricsRegistry>,
-}
-
 /// L1: exact-match query-result cache. Cheap to clone — all clones
 /// share one store and one set of counters.
-#[derive(Debug, Clone, Default)]
-pub struct ResultCache {
-    inner: Arc<Mutex<ResultInner>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-}
-
-impl ResultCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a metrics registry: lookups bump
-    /// `serve_result_cache_hits_total` / `serve_result_cache_misses_total`.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.lock().metrics = Some(metrics);
-    }
-
-    /// Looks up a cached answer, counting the hit or miss.
-    pub fn get(&self, key: u64) -> Option<PipelineAnswer> {
-        let inner = self.inner.lock();
-        let found = inner.entries.get(&key).cloned();
-        match (&found, &inner.metrics) {
-            (Some(_), Some(m)) => m.inc("serve_result_cache_hits_total", 1),
-            (None, Some(m)) => m.inc("serve_result_cache_misses_total", 1),
-            _ => {}
-        }
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Stores an answer.
-    pub fn put(&self, key: u64, answer: PipelineAnswer) {
-        self.inner.lock().entries.insert(key, answer);
-    }
-
-    /// Drops every entry (epoch swap). Counters survive — they
-    /// describe the run, not the epoch.
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
-    }
-
-    /// Number of cached answers.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
+pub type ResultCache = SharedCache<PipelineAnswer>;
 
 /// Point-in-time hit/miss counters across all three levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,13 +75,6 @@ impl CacheStack {
         Self::default()
     }
 
-    /// Attaches one registry to every level.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        self.result.attach_metrics(metrics.clone());
-        self.memo.attach_metrics(metrics.clone());
-        self.llm.attach_metrics(metrics);
-    }
-
     /// Epoch-swap invalidation: clears the two epoch-scoped levels.
     /// The L3 response cache survives — its content-addressed keys
     /// (schema fingerprint + every operand) make stale hits impossible:
@@ -165,7 +84,8 @@ impl CacheStack {
         self.memo.clear();
     }
 
-    /// Current hit/miss counters across the stack.
+    /// Current hit/miss counters across the stack — the one place the
+    /// levels' counts are read.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             result_hits: self.result.hits(),
@@ -219,25 +139,6 @@ mod tests {
             ..query(1, "What is the year of Heat?")
         };
         assert_ne!(result_key(&q), result_key(&other_slot));
-    }
-
-    #[test]
-    fn result_cache_counts_and_clears() {
-        let cache = ResultCache::new();
-        let metrics = MetricsRegistry::new();
-        cache.attach_metrics(metrics.clone());
-        let key = result_key(&query(1, "q"));
-        assert!(cache.get(key).is_none());
-        cache.put(key, answer());
-        assert_eq!(cache.get(key).expect("stored").values, answer().values);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("serve_result_cache_hits_total"), 1);
-        assert_eq!(snap.counter("serve_result_cache_misses_total"), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(key).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

@@ -31,8 +31,7 @@
 
 use multirag_core::{GraphState, HistoryStore, MklgpPipeline, MultiRagConfig};
 use multirag_kg::{persist, FxHashMap, KeyInterner, KnowledgeGraph, SourceId, Value};
-use multirag_obs::MetricsRegistry;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -102,7 +101,6 @@ impl EpochSnapshot {
 #[derive(Debug)]
 pub struct EpochIndex {
     current: RwLock<Arc<EpochSnapshot>>,
-    metrics: Mutex<Option<MetricsRegistry>>,
 }
 
 impl EpochIndex {
@@ -110,15 +108,7 @@ impl EpochIndex {
     pub fn new(snapshot: Arc<EpochSnapshot>) -> Self {
         Self {
             current: RwLock::new(snapshot),
-            metrics: Mutex::new(None),
         }
-    }
-
-    /// Attaches a metrics registry: publishes bump
-    /// `serve_epoch_publish_total` and set the `serve_epoch` gauge.
-    pub fn attach_metrics(&self, metrics: MetricsRegistry) {
-        metrics.gauge_set("serve_epoch", self.current.read().epoch as f64);
-        *self.metrics.lock() = Some(metrics);
     }
 
     /// The current snapshot. Cheap (`Arc` clone under a read lock);
@@ -134,12 +124,7 @@ impl EpochIndex {
 
     /// Atomically swaps in a new snapshot.
     pub fn publish(&self, snapshot: Arc<EpochSnapshot>) {
-        let epoch = snapshot.epoch;
         *self.current.write() = snapshot;
-        if let Some(metrics) = self.metrics.lock().as_ref() {
-            metrics.inc("serve_epoch_publish_total", 1);
-            metrics.gauge_set("serve_epoch", epoch as f64);
-        }
     }
 }
 
