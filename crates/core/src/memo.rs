@@ -126,4 +126,31 @@ mod tests {
             "membership change must miss"
         );
     }
+
+    #[test]
+    fn memo_counts_hits_and_misses_and_clears() {
+        let memo = ConfidenceMemo::new();
+        assert!(memo.get(7).is_none());
+        memo.put(
+            7,
+            SlotVerdict {
+                dropped: 1,
+                gated: 3,
+                ..SlotVerdict::default()
+            },
+        );
+        let verdict = memo.get(7).expect("stored");
+        assert_eq!(verdict.dropped, 1);
+        assert_eq!(verdict.gated, 3);
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        // Clones share the store and the counters.
+        let alias = memo.clone();
+        assert!(alias.get(7).is_some());
+        assert_eq!(memo.hits(), 2);
+        alias.clear();
+        assert!(memo.is_empty());
+        assert!(memo.get(7).is_none());
+        assert_eq!(memo.hits(), 2);
+        assert_eq!(memo.misses(), 2);
+    }
 }

@@ -90,6 +90,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn cache_counts_hits_and_misses_and_clears() {
+        let cache = LlmResponseCache::new();
+        assert!(cache.get(1).is_none());
+        cache.put(1, CachedResponse::Authority(0.75));
+        assert_eq!(cache.get(1), Some(CachedResponse::Authority(0.75)));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Clones share everything.
+        let alias = cache.clone();
+        assert_eq!(alias.len(), 1);
+        alias.clear();
+        assert!(cache.is_empty());
+        assert!(cache.get(1).is_none());
+        assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
     fn key_builder_separates_operands_and_kinds() {
         let base = || KeyBuilder::new("gen", 42).str("q1").f64(0.5).u64(7);
         assert_eq!(base().build(), base().build());

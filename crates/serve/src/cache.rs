@@ -142,6 +142,23 @@ mod tests {
     }
 
     #[test]
+    fn result_cache_counts_and_clears() {
+        let stack = CacheStack::new();
+        let cache = stack.result.clone();
+        let key = result_key(&query(1, "q"));
+        assert!(cache.get(key).is_none());
+        cache.put(key, answer());
+        assert_eq!(cache.get(key).expect("stored").values, answer().values);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let counters = stack.counters();
+        assert_eq!((counters.result_hits, counters.result_misses), (1, 1));
+        cache.clear();
+        assert!(cache.is_empty());
+        assert!(cache.get(key).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
     fn epoch_swap_clears_only_epoch_scoped_levels() {
         let stack = CacheStack::new();
         stack.result.put(7, answer());
