@@ -958,6 +958,49 @@ mod tests {
     }
 
     #[test]
+    fn million_level_nesting_is_a_parse_error_not_an_abort() {
+        const LEVELS: usize = 1_000_000;
+        let deep = |name: &str, format, open: &str, close: &str| RawSource {
+            name: name.into(),
+            domain: "movies".into(),
+            format,
+            content: open.repeat(LEVELS) + &close.repeat(LEVELS),
+        };
+        let sources = vec![
+            deep("deep.json", SourceFormat::Json, "[", "]"),
+            deep("deep.xml", SourceFormat::Xml, "<a>", "</a>"),
+            json_source(),
+        ];
+        // A spawned thread gets the default stack, a quarter of the
+        // main thread's: recursion this deep would overflow it and
+        // abort the test binary.
+        let (strict, lenient) = std::thread::spawn(move || {
+            let strict: Vec<_> = sources[..2]
+                .iter()
+                .map(|source| fuse_sources(std::slice::from_ref(source)).map(|_| ()))
+                .collect();
+            (strict, fuse_sources_with(&sources, IngestMode::Lenient))
+        })
+        .join()
+        .expect("fusion returns instead of overflowing");
+        for result in strict {
+            let Err(IngestError::Parse(err)) = result else {
+                panic!("strict fusion must fail: {result:?}");
+            };
+            assert!(err.message.starts_with("nesting deeper than"), "{err}");
+        }
+        let report = lenient.expect("lenient fusion never fails");
+        let skipped: Vec<usize> = report.diagnostics.iter().map(|d| d.source_index).collect();
+        assert_eq!(skipped, [0, 1]);
+        assert!(report.adapted[0].1.records.is_empty());
+        assert!(report.adapted[1].1.records.is_empty());
+        assert!(
+            !report.adapted[2].1.records.is_empty(),
+            "healthy source loads"
+        );
+    }
+
+    #[test]
     fn fuse_sources_with_lenient_keeps_healthy_sources() {
         let broken_csv = RawSource {
             name: "broken.csv".into(),

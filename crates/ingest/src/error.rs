@@ -3,6 +3,16 @@
 
 use std::fmt;
 
+/// Deepest nesting the JSON and XML parsers accept: containers for
+/// JSON, elements for XML. Both parsers recurse once per level, and so
+/// does every later walk of the tree they return, so deeper input is a
+/// [`ParseError`] rather than a stack overflow, which would abort the
+/// process where no `catch_unwind` or lenient mode can contain it.
+/// Rendered sources nest a handful of levels; the cap leaves ample
+/// room above that and still fits a spawned thread's default stack in
+/// an unoptimized build.
+pub const MAX_NESTING: usize = 256;
+
 /// A parse error with positional context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

@@ -6,7 +6,7 @@
 //! `null`. Object key order is preserved (insertion order) because the
 //! JSON-LD layer round-trips documents.
 
-use crate::error::ParseError;
+use crate::error::{ParseError, MAX_NESTING};
 use multirag_kg::Value;
 use std::fmt;
 
@@ -141,6 +141,7 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
         input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -273,6 +274,8 @@ struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -318,8 +321,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -328,6 +331,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.error(format!("unexpected character '{}'", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ParseError> {
@@ -518,19 +536,17 @@ impl<'a> Parser<'a> {
             }
         }
         let text = self.slice(start, self.pos);
-        if is_float {
-            text.parse::<f64>()
-                .map(JsonValue::Float)
-                .map_err(|_| self.error("number out of range"))
-        } else {
-            match text.parse::<i64>() {
-                Ok(i) => Ok(JsonValue::Int(i)),
-                // Fall back to float for |n| > i64::MAX.
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(JsonValue::Float)
-                    .map_err(|_| self.error("number out of range")),
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(JsonValue::Int(i));
             }
+            // Fall back to float for |n| > i64::MAX.
+        }
+        // An exponent such as `1e999` parses to infinity; JSON has no
+        // non-finite numbers, so that is out of range, not a value.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(JsonValue::Float(f)),
+            _ => Err(self.error("number out of range")),
         }
     }
 }
@@ -549,6 +565,37 @@ mod tests {
         assert_eq!(parse("3.25").unwrap(), JsonValue::Float(3.25));
         assert_eq!(parse("1e3").unwrap(), JsonValue::Float(1000.0));
         assert_eq!(parse("\"hi\"").unwrap(), JsonValue::Str("hi".into()));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"k":"#.repeat(n) + "1" + &"}".repeat(n);
+        // The default stack of a spawned thread holds the deepest
+        // accepted document, its depth walk and its drop.
+        std::thread::spawn(move || {
+            assert_eq!(parse(&arrays(MAX_NESTING)).unwrap().depth(), MAX_NESTING);
+            assert_eq!(
+                parse(&objects(MAX_NESTING)).unwrap().depth(),
+                MAX_NESTING + 1
+            );
+            let err = parse(&arrays(MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(err.offset, MAX_NESTING, "{err}");
+            assert!(err.message.starts_with("nesting deeper than"), "{err}");
+            assert!(parse(&objects(MAX_NESTING + 1)).is_err());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn overflowing_numbers_are_out_of_range() {
+        for text in ["1e999", "-1e999", "[1.5e400]", &"9".repeat(400)] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, "number out of range", "{text}");
+        }
+        // Underflow is finite: it rounds to zero, as before.
+        assert_eq!(parse("1e-999").unwrap(), JsonValue::Float(0.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! It does not process DTDs or namespaces (prefixes are kept verbatim),
 //! which matches what the Books-dataset XML feeds need.
 
-use crate::error::ParseError;
+use crate::error::{ParseError, MAX_NESTING};
 
 /// An XML element node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,6 +110,7 @@ pub fn parse(input: &str) -> Result<XmlElement, ParseError> {
         input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_misc()?;
     let root = parser.parse_element()?;
@@ -170,6 +171,8 @@ struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open at the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -266,7 +269,19 @@ impl<'a> Parser<'a> {
         Ok(self.slice(start, self.pos).to_string())
     }
 
+    /// Parses one element a level deeper, refusing to go past
+    /// [`MAX_NESTING`].
     fn parse_element(&mut self) -> Result<XmlElement, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let element = self.parse_element_at_depth();
+        self.depth -= 1;
+        element
+    }
+
+    fn parse_element_at_depth(&mut self) -> Result<XmlElement, ParseError> {
         if self.peek() != Some(b'<') {
             return Err(self.error("expected '<'"));
         }
@@ -513,6 +528,23 @@ mod tests {
         assert!(parse("<a attr=\"x>").is_err());
         assert!(parse("<a><!-- no end").is_err());
         assert!(parse("<t><![CDATA[open").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let nested = |n: usize| "<a>".repeat(n) + &"</a>".repeat(n);
+        // The default stack of a spawned thread holds the deepest
+        // accepted document, its walks and its drop.
+        std::thread::spawn(move || {
+            let root = parse(&nested(MAX_NESTING)).unwrap();
+            assert_eq!(root.descendant_count(), MAX_NESTING - 1);
+            assert_eq!(parse(&to_string(&root)).unwrap(), root);
+            let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(err.offset, "<a>".len() * MAX_NESTING, "{err}");
+            assert!(err.message.starts_with("nesting deeper than"), "{err}");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

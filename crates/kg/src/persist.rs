@@ -203,8 +203,15 @@ pub fn load(text: &str) -> Result<KnowledgeGraph, PersistError> {
                     "i" => Object::Literal(Value::Int(
                         fields[4].parse().map_err(|_| err(line_no, "bad int"))?,
                     )),
+                    // Ingest keeps only finite floats; a `NaN` or `inf`
+                    // literal would otherwise enter MCC as a claim that
+                    // can win its slot.
                     "f" => Object::Literal(Value::Float(
-                        fields[4].parse().map_err(|_| err(line_no, "bad float"))?,
+                        fields[4]
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|f| f.is_finite())
+                            .ok_or_else(|| err(line_no, "bad float"))?,
                     )),
                     "b" => Object::Literal(Value::Bool(
                         fields[4].parse().map_err(|_| err(line_no, "bad bool"))?,
@@ -297,6 +304,21 @@ mod tests {
         for (i, case) in cases.iter().enumerate() {
             assert!(load(case).is_err(), "case {i} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_float_literals() {
+        for literal in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let text = format!("#multirag-kg v1\nE|a|d\nS|s|f|d\nT|0|r|f|{literal}|0|0\n");
+            let err = load(&text).expect_err(literal);
+            assert_eq!(
+                (err.line, err.message.as_str()),
+                (4, "bad float"),
+                "{literal}"
+            );
+        }
+        let finite = "#multirag-kg v1\nE|a|d\nS|s|f|d\nT|0|r|f|-2.5e3|0|0\n";
+        assert_eq!(load(finite).unwrap().triple_count(), 1);
     }
 
     #[test]

@@ -72,9 +72,6 @@ pub struct LlmUsage {
     pub retries: u64,
     /// Calls that failed even after retrying.
     pub failed_calls: u64,
-    /// Calls served from the response cache — these are *not* counted
-    /// in `calls` and burn no tokens or simulated time.
-    pub cache_hits: u64,
 }
 
 impl LlmUsage {
@@ -94,7 +91,6 @@ impl LlmUsage {
         self.simulated_ms += other.simulated_ms;
         self.retries += other.retries;
         self.failed_calls += other.failed_calls;
-        self.cache_hits += other.cache_hits;
     }
 }
 
@@ -175,12 +171,14 @@ impl MockLlm {
     /// ([`try_logic_form`], [`try_score_authority`],
     /// [`try_generate_answer`]). Keys hash the complete call input
     /// (including the seed and schema fingerprint), so a hit is
-    /// guaranteed equivalent to recomputing; hits skip metering and the
-    /// fault plan entirely, counting into [`LlmUsage::cache_hits`].
+    /// guaranteed equivalent to recomputing. A hit is not a call: it
+    /// skips metering and the fault plan entirely, and the cache's own
+    /// [`hits`] counter is its one record.
     ///
     /// [`try_logic_form`]: MockLlm::try_logic_form
     /// [`try_score_authority`]: MockLlm::try_score_authority
     /// [`try_generate_answer`]: MockLlm::try_generate_answer
+    /// [`hits`]: multirag_kg::SharedCache::hits
     pub fn with_response_cache(mut self, cache: LlmResponseCache) -> Self {
         self.cache = Some(cache);
         self
@@ -191,8 +189,16 @@ impl MockLlm {
         self.cache.as_ref()
     }
 
-    fn note_cache_hit(&mut self) {
-        self.usage.cache_hits += 1;
+    /// Looks `key` up in the response cache; `None` without a cache.
+    fn cached(&self, key: Option<u64>) -> Option<CachedResponse> {
+        self.cache.as_ref()?.get(key?)
+    }
+
+    /// Stores a freshly computed response under `key`, if caching.
+    fn store(&self, key: Option<u64>, response: impl FnOnce() -> CachedResponse) {
+        if let (Some(cache), Some(key)) = (&self.cache, key) {
+            cache.put(key, response());
+        }
     }
 
     /// The active fault plan, if any.
@@ -435,17 +441,12 @@ impl MockLlm {
                 .str(query)
                 .build()
         });
-        if let Some(key) = key {
-            if let Some(CachedResponse::Logic(lf)) = self.cache.as_ref().unwrap().get(key) {
-                self.note_cache_hit();
-                return Ok(lf);
-            }
+        if let Some(CachedResponse::Logic(lf)) = self.cached(key) {
+            return Ok(lf);
         }
         let lf = generate_logic_form(query, &self.schema);
         self.meter_guarded(call_key, raw_tokens(query).len() + 48, 16)?;
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.put(key, CachedResponse::Logic(lf.clone()));
-        }
+        self.store(key, || CachedResponse::Logic(lf.clone()));
         Ok(lf)
     }
 
@@ -456,23 +457,42 @@ impl MockLlm {
         features: &AuthorityFeatures,
     ) -> Result<f64, LlmError> {
         let key = self.cache.is_some().then(|| {
+            // Every field, destructured without `..`: a field added
+            // later must fail to compile here, not drop out of the key.
+            let AuthorityFeatures {
+                degree,
+                max_degree,
+                type_consistency,
+                path_support,
+                source_reputation,
+            } = *features;
+            let AuthorityWeights {
+                degree: w_degree,
+                type_consistency: w_type_consistency,
+                path_support: w_path_support,
+                source_reputation: w_source_reputation,
+                noise,
+            } = self.authority_weights;
             KeyBuilder::new("auth", self.seed)
                 .str(node_key)
-                .debug(features)
-                .debug(&self.authority_weights)
+                .u64(degree as u64)
+                .u64(max_degree as u64)
+                .f64(type_consistency)
+                .f64(path_support)
+                .f64(source_reputation)
+                .f64(w_degree)
+                .f64(w_type_consistency)
+                .f64(w_path_support)
+                .f64(w_source_reputation)
+                .f64(noise)
                 .build()
         });
-        if let Some(key) = key {
-            if let Some(CachedResponse::Authority(c)) = self.cache.as_ref().unwrap().get(key) {
-                self.note_cache_hit();
-                return Ok(c);
-            }
+        if let Some(CachedResponse::Authority(c)) = self.cached(key) {
+            return Ok(c);
         }
         let c = c_llm(features, &self.authority_weights, self.seed, node_key);
         self.meter_guarded(&format!("auth:{node_key}"), 96, 4)?;
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.put(key, CachedResponse::Authority(c));
-        }
+        self.store(key, || CachedResponse::Authority(c));
         Ok(c)
     }
 
@@ -487,28 +507,43 @@ impl MockLlm {
         context_tokens: usize,
     ) -> Result<GeneratedAnswer, LlmError> {
         let key = self.cache.is_some().then(|| {
-            let mut kb = KeyBuilder::new("gen", self.seed)
-                .str(query_key)
-                .debug(profile)
-                .debug(&self.halluc)
-                .u64(context_tokens as u64)
-                .u64(faithful.len() as u64);
-            // Exact value forms, not canonical keys: two values that
-            // normalize alike can still surface differently in the
-            // generated answer.
-            for v in &faithful {
-                kb = kb.debug(v);
-            }
-            for v in distractors {
-                kb = kb.debug(v);
-            }
-            kb.build()
+            let ContextProfile {
+                conflict_ratio,
+                irrelevance_ratio,
+                coverage,
+                claims,
+            } = *profile;
+            let HallucinationParams {
+                base,
+                w_conflict,
+                w_irrelevance,
+                w_missing,
+                max,
+            } = self.halluc;
+            // `faithful.len()` marks where the distractors begin.
+            faithful
+                .iter()
+                .chain(distractors)
+                .fold(
+                    KeyBuilder::new("gen", self.seed)
+                        .str(query_key)
+                        .f64(conflict_ratio)
+                        .f64(irrelevance_ratio)
+                        .f64(coverage)
+                        .u64(claims as u64)
+                        .f64(base)
+                        .f64(w_conflict)
+                        .f64(w_irrelevance)
+                        .f64(w_missing)
+                        .f64(max)
+                        .u64(context_tokens as u64)
+                        .u64(faithful.len() as u64),
+                    KeyBuilder::value,
+                )
+                .build()
         });
-        if let Some(key) = key {
-            if let Some(CachedResponse::Answer(out)) = self.cache.as_ref().unwrap().get(key) {
-                self.note_cache_hit();
-                return Ok(out);
-            }
+        if let Some(CachedResponse::Answer(out)) = self.cached(key) {
+            return Ok(out);
         }
         let out = generate_with_hallucination(
             self.seed,
@@ -523,9 +558,7 @@ impl MockLlm {
             context_tokens + 128,
             out.values.len() * 8 + 12,
         )?;
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.put(key, CachedResponse::Answer(out.clone()));
-        }
+        self.store(key, || CachedResponse::Answer(out.clone()));
         Ok(out)
     }
 
@@ -793,13 +826,12 @@ mod tests {
             .try_logic_form("q1", "What is the status of CA981?")
             .unwrap();
         let cold = llm.usage();
-        assert_eq!(cold.cache_hits, 0);
+        assert_eq!(cache.hits(), 0);
         let second = llm
             .try_logic_form("q1", "What is the status of CA981?")
             .unwrap();
         assert_eq!(first, second, "cached response is the computed one");
         let warm = llm.usage();
-        assert_eq!(warm.cache_hits, 1);
         assert_eq!(warm.calls, cold.calls, "a hit is not a call");
         assert_eq!(warm.simulated_ms, cold.simulated_ms, "a hit burns no time");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -819,7 +851,8 @@ mod tests {
         let want = plain
             .try_generate_answer("q1", faithful.clone(), &distractors, &profile, 200)
             .unwrap();
-        let mut cached = MockLlm::new(schema(), 5).with_response_cache(LlmResponseCache::new());
+        let cache = LlmResponseCache::new();
+        let mut cached = MockLlm::new(schema(), 5).with_response_cache(cache.clone());
         let miss = cached
             .try_generate_answer("q1", faithful.clone(), &distractors, &profile, 200)
             .unwrap();
@@ -828,7 +861,7 @@ mod tests {
             .unwrap();
         assert_eq!(want, miss);
         assert_eq!(want, hit);
-        assert_eq!(cached.usage().cache_hits, 1);
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -846,7 +879,7 @@ mod tests {
         // Same query key, different context: must not hit.
         llm.try_generate_answer("q1", vec![Value::from("b")], &[], &profile, 200)
             .unwrap();
-        assert_eq!(llm.usage().cache_hits, 0);
+        assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 2);
         // A schema change re-namespaces logic-form entries.
         llm.try_logic_form("q2", "What is the status of CA981?")
@@ -854,7 +887,117 @@ mod tests {
         llm.schema_mut().add_relation("gate");
         llm.try_logic_form("q2", "What is the status of CA981?")
             .unwrap();
-        assert_eq!(llm.usage().cache_hits, 0, "schema changed, no hit");
+        assert_eq!(cache.hits(), 0, "schema changed, no hit");
+    }
+
+    #[test]
+    fn every_operand_field_is_part_of_the_key() {
+        let cache = LlmResponseCache::new();
+        let client = || MockLlm::new(schema(), 9).with_response_cache(cache.clone());
+        let mut llm = client();
+
+        let features = AuthorityFeatures {
+            degree: 3,
+            max_degree: 10,
+            type_consistency: 0.8,
+            path_support: 0.5,
+            source_reputation: 0.6,
+        };
+        llm.try_score_authority("n1", &features).unwrap();
+        for changed in [
+            AuthorityFeatures {
+                degree: 4,
+                ..features
+            },
+            AuthorityFeatures {
+                max_degree: 11,
+                ..features
+            },
+            AuthorityFeatures {
+                type_consistency: 0.7,
+                ..features
+            },
+            AuthorityFeatures {
+                path_support: 0.4,
+                ..features
+            },
+            AuthorityFeatures {
+                source_reputation: 0.5,
+                ..features
+            },
+        ] {
+            llm.try_score_authority("n1", &changed).unwrap();
+            assert_eq!(cache.hits(), 0, "changed features must miss: {changed:?}");
+        }
+        llm.try_score_authority("n1", &features).unwrap();
+        assert_eq!(cache.hits(), 1, "the same features must hit");
+
+        let profile = ContextProfile {
+            conflict_ratio: 0.7,
+            irrelevance_ratio: 0.3,
+            coverage: 0.8,
+            claims: 4,
+        };
+        let (a, b, c) = (Value::from("a"), Value::from("b"), Value::from("c"));
+        let generate = |llm: &mut MockLlm,
+                        faithful: &[Value],
+                        distractors: &[Value],
+                        profile: &ContextProfile| {
+            llm.try_generate_answer("q1", faithful.to_vec(), distractors, profile, 200)
+                .unwrap();
+        };
+        let (faithful, distractors) = ([a.clone(), b.clone()], [c.clone()]);
+        generate(&mut llm, &faithful, &distractors, &profile);
+        for changed in [
+            ContextProfile {
+                conflict_ratio: 0.6,
+                ..profile
+            },
+            ContextProfile {
+                irrelevance_ratio: 0.2,
+                ..profile
+            },
+            ContextProfile {
+                coverage: 0.9,
+                ..profile
+            },
+            ContextProfile {
+                claims: 5,
+                ..profile
+            },
+        ] {
+            generate(&mut llm, &faithful, &distractors, &changed);
+            assert_eq!(cache.hits(), 1, "a changed profile must miss: {changed:?}");
+        }
+        let params = HallucinationParams::default();
+        for changed in [
+            HallucinationParams {
+                base: 0.04,
+                ..params
+            },
+            HallucinationParams {
+                w_conflict: 0.5,
+                ..params
+            },
+            HallucinationParams {
+                w_irrelevance: 0.2,
+                ..params
+            },
+            HallucinationParams {
+                w_missing: 0.4,
+                ..params
+            },
+            HallucinationParams { max: 0.9, ..params },
+        ] {
+            let mut other = client().with_hallucination_params(changed);
+            generate(&mut other, &faithful, &distractors, &profile);
+            assert_eq!(cache.hits(), 1, "changed parameters must miss: {changed:?}");
+        }
+        // One value moved across the faithful/distractor boundary.
+        generate(&mut llm, &[a], &[b, c], &profile);
+        assert_eq!(cache.hits(), 1, "a moved value must miss");
+        generate(&mut llm, &faithful, &distractors, &profile);
+        assert_eq!(cache.hits(), 2, "the same context must hit");
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! equivalent to recomputing, which is what lets the cache survive
 //! epoch swaps unmolested (entries for changed contexts simply miss).
 //!
+//! A key is an exact encoding of those operands, hashed as it is fed
+//! and never printed: floats by their bit patterns, integers as `u64`,
+//! strings and [`Value`]s in a prefix-free form ([`KeyBuilder`]). A
+//! key therefore costs a few dozen integer mixes and no allocation, and
+//! a hit allocates only the clone of the cached response, which matters
+//! because an answer places about ten keyed calls.
+//!
 //! A hit skips metering *and* the fault plan: no call is placed, so no
 //! fault can hit it — cached answers keep serving through an LLM
 //! brownout, which is precisely their operational value. The cache
@@ -18,8 +25,8 @@
 
 use crate::halluc::GeneratedAnswer;
 use crate::logic::LogicForm;
-use multirag_kg::{FxHasher, SharedCache};
-use std::hash::{Hash, Hasher};
+use multirag_kg::{FxHasher, SharedCache, Value};
+use std::hash::Hasher;
 
 /// A memoized LLM response.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,10 +44,18 @@ pub enum CachedResponse {
 /// of pipelines deduplicates LLM work across threads.
 pub type LlmResponseCache = SharedCache<CachedResponse>;
 
-/// Builds a cache key from a call's complete input set. Strings are
-/// length-prefix hashed by `Hash`; floats contribute their exact bit
-/// patterns via the `{v:?}` debug form of the containing struct, which
-/// round-trips f64 exactly.
+/// Builds a cache key from a call's complete input set, hashing each
+/// operand's exact encoding as it is fed. Every encoding is
+/// self-delimiting, so a run of operands decodes one way only:
+///
+/// * integers are one `u64` word, floats one word of
+///   [`f64::to_bits`] (so `0.0` and `-0.0` differ);
+/// * strings are their byte length, then their bytes;
+/// * [`Value`]s are a variant tag, then the payload in the forms
+///   above, a list as its length followed by its items.
+///
+/// The length leads a string because the hasher packs a short tail
+/// into one word, so the bytes alone cannot tell `"a"` from `"a\0"`.
 pub struct KeyBuilder {
     hasher: FxHasher,
 }
@@ -48,35 +63,46 @@ pub struct KeyBuilder {
 impl KeyBuilder {
     /// Starts a key for one call kind ("lf", "auth", "gen", …).
     pub fn new(kind: &str, seed: u64) -> Self {
-        let mut hasher = FxHasher::default();
-        kind.hash(&mut hasher);
-        seed.hash(&mut hasher);
-        Self { hasher }
+        Self {
+            hasher: FxHasher::default(),
+        }
+        .str(kind)
+        .u64(seed)
     }
 
-    /// Mixes a string operand.
+    /// Mixes a string operand: its length, then its bytes.
     pub fn str(mut self, s: &str) -> Self {
-        s.hash(&mut self.hasher);
+        self.hasher.write_u64(s.len() as u64);
+        self.hasher.write(s.as_bytes());
         self
     }
 
     /// Mixes an integer operand.
     pub fn u64(mut self, v: u64) -> Self {
-        v.hash(&mut self.hasher);
+        self.hasher.write_u64(v);
         self
     }
 
     /// Mixes a float operand bit-exactly.
-    pub fn f64(mut self, v: f64) -> Self {
-        v.to_bits().hash(&mut self.hasher);
-        self
+    pub fn f64(self, v: f64) -> Self {
+        self.u64(v.to_bits())
     }
 
-    /// Mixes any Debug-printable operand via its exact debug form
-    /// (Rust's `{:?}` prints f64 with round-trip precision).
-    pub fn debug<T: std::fmt::Debug>(mut self, v: &T) -> Self {
-        format!("{v:?}").hash(&mut self.hasher);
-        self
+    /// Mixes a value operand exactly: its surface form, not its
+    /// canonical key, because two values that normalize alike
+    /// (`Int(3)` and `Float(3.0)`, `"A"` and `"a"`) can still surface
+    /// differently in a generated answer.
+    pub fn value(self, v: &Value) -> Self {
+        match v {
+            Value::Null => self.u64(0),
+            Value::Bool(b) => self.u64(1).u64(u64::from(*b)),
+            Value::Int(i) => self.u64(2).u64(*i as u64),
+            Value::Float(f) => self.u64(3).f64(*f),
+            Value::Str(s) => self.u64(4).str(s),
+            Value::List(items) => items
+                .iter()
+                .fold(self.u64(5).u64(items.len() as u64), Self::value),
+        }
     }
 
     /// Finishes the key.
@@ -123,5 +149,60 @@ mod tests {
             KeyBuilder::new("k", 0).f64(0.0).build(),
             KeyBuilder::new("k", 0).f64(-0.0).build()
         );
+    }
+
+    fn key_of(values: &[Value]) -> u64 {
+        values
+            .iter()
+            .fold(KeyBuilder::new("k", 0), KeyBuilder::value)
+            .build()
+    }
+
+    #[test]
+    fn value_keys_are_exact_and_prefix_free() {
+        // Values that share a canonical key, or print alike, still key
+        // apart: a hit must return the surface form it was given.
+        let scalars = [
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Str("3".into()),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Str("A".into()),
+            Value::Str("a".into()),
+        ];
+        for (i, x) in scalars.iter().enumerate() {
+            for y in &scalars[i + 1..] {
+                assert_ne!(
+                    key_of(std::slice::from_ref(x)),
+                    key_of(std::slice::from_ref(y)),
+                    "{x:?} vs {y:?}"
+                );
+            }
+        }
+        let (a, b) = (Value::Int(1), Value::Int(2));
+        assert_ne!(
+            key_of(&[Value::List(vec![a.clone(), b.clone()])]),
+            key_of(&[Value::List(vec![a.clone()]), b.clone()]),
+            "a list's end is part of its encoding"
+        );
+        assert_ne!(
+            key_of(&[Value::from("ab"), Value::from("c")]),
+            key_of(&[Value::from("a"), Value::from("bc")]),
+        );
+        assert_ne!(
+            KeyBuilder::new("k", 0).str("ab").str("c").build(),
+            KeyBuilder::new("k", 0).str("a").str("bc").build()
+        );
+        // The hasher packs a short tail into one word; the length
+        // prefix keeps trailing NULs apart.
+        assert_ne!(
+            KeyBuilder::new("k", 0).str("a").build(),
+            KeyBuilder::new("k", 0).str("a\0").build()
+        );
+        assert_eq!(key_of(&[a.clone(), b.clone()]), key_of(&[a, b]));
     }
 }

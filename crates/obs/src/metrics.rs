@@ -111,6 +111,26 @@ pub const DEFAULT_MS_BUCKETS: [f64; 10] = [
 /// Default wall-time buckets in seconds (measured compute stages).
 pub const DEFAULT_S_BUCKETS: [f64; 10] = [1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 1.0, 5.0, 30.0];
 
+/// Applies `record` to series `name` of `map`, creating it with
+/// `init` on first touch. An existing series is found by `&str`, so
+/// recording into it allocates nothing; only a new series builds the
+/// owned key.
+fn record_into<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    record: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(series) => record(series),
+        None => {
+            let mut series = init();
+            record(&mut series);
+            map.insert(name.to_string(), series);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -143,30 +163,22 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Increments counter `name` by `delta`.
+    /// Increments counter `name` by `delta`. A `delta` of 0 still
+    /// creates the series, so a zero counter is visible in the
+    /// exposition (absent vs zero is a real distinction for the chaos
+    /// assertions).
     pub fn inc(&self, name: &str, delta: u64) {
-        if delta == 0 {
-            // Still materialize the series so a zero counter is visible
-            // in the exposition (absent vs zero is a real distinction
-            // for the chaos assertions).
-            self.inner
-                .lock()
-                .counters
-                .entry(name.to_string())
-                .or_insert(0);
-            return;
-        }
-        *self
-            .inner
-            .lock()
-            .counters
-            .entry(name.to_string())
-            .or_insert(0) += delta;
+        record_into(&mut self.inner.lock().counters, name, || 0, |c| *c += delta);
     }
 
     /// Sets gauge `name` to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner.lock().gauges.insert(name.to_string(), value);
+        record_into(
+            &mut self.inner.lock().gauges,
+            name,
+            || value,
+            |g| *g = value,
+        );
     }
 
     /// Registers histogram `name` with explicit bucket bounds
@@ -195,12 +207,12 @@ impl MetricsRegistry {
     /// Records one observation, creating the histogram with `bounds` on
     /// first touch.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(value);
+        record_into(
+            &mut self.inner.lock().histograms,
+            name,
+            || Histogram::new(bounds.to_vec()),
+            |h| h.observe(value),
+        );
     }
 
     /// Takes a deterministic point-in-time snapshot.

@@ -186,6 +186,11 @@ pub fn serve_sequential_observed(
 /// Answers are deterministic; which worker served which request (and
 /// therefore per-worker LLM meters) is not. A `queue_depth` of at
 /// least the batch length admits every request.
+///
+/// The queue carries request indices and workers borrow the requests,
+/// so every request is freed on the calling thread after the batch. A
+/// worker that freed requests the caller allocated would contend with
+/// the caller in the allocator while the caller is still serving.
 pub fn serve_with_admission(
     snapshot: &EpochSnapshot,
     caches: &CacheStack,
@@ -207,21 +212,19 @@ fn serve_with_admission_gated(
     requests: Vec<ServeRequest>,
     gate: Option<&AtomicBool>,
 ) -> Vec<ServeResponse> {
-    let n = requests.len();
-    // Identity of every request, kept outside the scope so any slot a
-    // worker failed to fill (a poisoned cell, a dead worker) degrades
-    // to a shed verdict for *that* request instead of a panic.
-    let meta: Vec<(u32, RequestKind)> = requests.iter().map(|r| (r.seq, r.kind)).collect();
-    let shed = |(seq, kind): (u32, RequestKind)| ServeResponse {
-        seq,
-        kind,
+    // Any slot a worker failed to fill (a poisoned cell, a dead
+    // worker) degrades to a shed verdict for *that* request instead of
+    // a panic.
+    let shed = |request: &ServeRequest| ServeResponse {
+        seq: request.seq,
+        kind: request.kind,
         verdict: ServeVerdict::Overloaded,
         result_cache_hit: false,
         service_ms: 0.0,
     };
-    let (tx, rx) = sync_channel::<(usize, ServeRequest)>(config.queue_depth.max(1));
+    let (tx, rx) = sync_channel::<usize>(config.queue_depth.max(1));
     let rx = Mutex::new(rx);
-    let mut results: Vec<Option<ServeResponse>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<ServeResponse>> = (0..requests.len()).map(|_| None).collect();
     let out = Mutex::new(&mut results);
     let store = |idx: usize, response: ServeResponse| {
         if let Some(slot) = out.lock().get_mut(idx) {
@@ -241,11 +244,12 @@ fn serve_with_admission_gated(
                     }
                 }
                 let message = rx.lock().recv();
-                let Ok((idx, request)) = message else {
+                let Ok(idx) = message else {
                     break;
                 };
-                let response = serve_one(&mut pipeline, caches, &request);
-                store(idx, response);
+                if let Some(request) = requests.get(idx) {
+                    store(idx, serve_one(&mut pipeline, caches, request));
+                }
             }
         }));
     };
@@ -253,17 +257,16 @@ fn serve_with_admission_gated(
         for _ in 1..config.workers.max(1) {
             scope.spawn(work);
         }
-        for (idx, request) in requests.into_iter().enumerate() {
-            match tx.try_send((idx, request)) {
+        for (idx, request) in requests.iter().enumerate() {
+            match tx.try_send(idx) {
                 Ok(()) => {}
-                Err(TrySendError::Full((idx, request)))
-                | Err(TrySendError::Disconnected((idx, request))) => {
+                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                     // Full: the admission queue shed the request.
                     // Disconnected: every worker is gone (cannot happen
                     // while the caller holds the receiver, but
                     // degrading to a shed is strictly better than
                     // crashing serving).
-                    store(idx, shed((request.seq, request.kind)));
+                    store(idx, shed(request));
                 }
             }
         }
@@ -275,8 +278,8 @@ fn serve_with_admission_gated(
     });
     results
         .into_iter()
-        .zip(meta)
-        .map(|(slot, ids)| slot.unwrap_or_else(|| shed(ids)))
+        .zip(&requests)
+        .map(|(slot, request)| slot.unwrap_or_else(|| shed(request)))
         .collect()
 }
 
