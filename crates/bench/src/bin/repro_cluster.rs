@@ -312,7 +312,13 @@ fn main() {
         publish_moved, 0,
         "an unchanged ring must keep every existing slot in place on publish"
     );
-    assert_eq!(cluster4.counters().rebalances, 1);
+    assert_eq!(
+        cluster4
+            .metrics()
+            .snapshot()
+            .counter("cluster_rebalance_total"),
+        1
+    );
     let epoch2_baseline = serve_cluster(
         &Cluster::new(snap2.clone(), 1, serve_cfg.clone(), REPLICATION),
         &wave,

@@ -33,5 +33,5 @@ pub mod sim;
 pub use report::{load_point_json, outcome_json};
 pub use ring::{slot_key, HashRing, DEFAULT_VNODES};
 pub use router::{serve_cluster, serve_fanout, ClusterResponse, SlotRouter};
-pub use shard::{slot_universe, Cluster, ClusterCounters, ShardNode};
+pub use shard::{slot_universe, Cluster, ShardNode};
 pub use sim::{cluster_closed_loop, ClusterLoadPoint, ClusterSimOutcome};

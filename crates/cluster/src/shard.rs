@@ -37,17 +37,6 @@ pub struct ShardNode {
     pub caches: CacheStack,
 }
 
-/// Monotonic cluster lifecycle counters, exported as metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterCounters {
-    /// Epoch publishes absorbed (each triggers a rebalance pass).
-    pub rebalances: u64,
-    /// Slots whose owner changed across all rebalance/resize passes.
-    pub moved_slots: u64,
-    /// Slots currently marked hot and served from replicas.
-    pub replicated_slots: u64,
-}
-
 /// The cluster: a consistent-hash ring of [`ShardNode`]s over one
 /// shared, immutable [`EpochSnapshot`].
 pub struct Cluster {
@@ -65,8 +54,9 @@ pub struct Cluster {
     outage_window_requests: u64,
     /// Current slot → owner assignment (rebuilt on publish/resize).
     assignments: BTreeMap<String, u32>,
+    /// Lifecycle counts (rebalances, resizes, moved and new slots) and
+    /// gauges (replicated and owned slots).
     metrics: MetricsRegistry,
-    counters: ClusterCounters,
 }
 
 /// Every slot of the snapshot's tiered index: grouped slots and
@@ -122,7 +112,6 @@ impl Cluster {
             outage_window_requests: 0,
             assignments,
             metrics: MetricsRegistry::new(),
-            counters: ClusterCounters::default(),
         }
     }
 
@@ -158,11 +147,6 @@ impl Cluster {
     /// The shared metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Lifecycle counters.
-    pub fn counters(&self) -> ClusterCounters {
-        self.counters
     }
 
     /// Current slot → owner map (sorted by slot key).
@@ -213,11 +197,8 @@ impl Cluster {
             .take(top_k)
             .map(|(slot, _)| slot.to_string())
             .collect();
-        self.counters.replicated_slots = self.hot_slots.len() as u64;
-        self.metrics.gauge_set(
-            "cluster_replicated_slots",
-            self.counters.replicated_slots as f64,
-        );
+        self.metrics
+            .gauge_set("cluster_replicated_slots", self.hot_slots.len() as f64);
     }
 
     /// Absorbs a freshly published epoch: recomputes slot ownership
@@ -231,8 +212,6 @@ impl Cluster {
         for node in &self.nodes {
             node.caches.on_epoch_swap();
         }
-        self.counters.rebalances += 1;
-        self.counters.moved_slots += moved;
         self.metrics.inc("cluster_rebalance_total", 1);
         self.metrics
             .inc("cluster_rebalance_moved_slots_total", moved);
@@ -255,7 +234,6 @@ impl Cluster {
         }
         self.nodes.truncate(shards as usize);
         let (moved, _) = self.reassign();
-        self.counters.moved_slots += moved;
         self.metrics.inc("cluster_resize_total", 1);
         self.metrics
             .inc("cluster_rebalance_moved_slots_total", moved);

@@ -314,8 +314,9 @@ pub fn kg_schema(kg: &KnowledgeGraph) -> Schema {
 /// degree and the canonical-key interner. Built once per graph and
 /// shared, so [`MklgpPipeline::bind`] costs `Arc` clones (the
 /// interner's graph keys are shared too). The serving layer carries
-/// one per epoch snapshot.
-#[derive(Debug, Clone)]
+/// one per epoch snapshot and derives each from the previous one
+/// ([`GraphState::advance`]).
+#[derive(Debug, Clone, Default)]
 pub struct GraphState {
     /// Extraction schema ([`kg_schema`]), shared by every LLM clone.
     pub schema: Arc<Schema>,
@@ -334,17 +335,66 @@ pub struct GraphState {
 
 impl GraphState {
     /// Derives the state for `kg` around an interner already extended
-    /// over it: builds the tiered index, the schema and the largest
+    /// over it: [`GraphState::advance`] from the empty graph's state,
+    /// which builds the tiered index, the schema and the largest
     /// degree.
     pub fn new(kg: &KnowledgeGraph, keys: KeyInterner) -> Self {
+        Self::default().advance(kg, keys)
+    }
+
+    /// What [`MklgpPipeline::new`] derives before it binds: the state
+    /// of `kg` over a fresh interner, and a history store seeded by MKA
+    /// consensus feedback over the slot tier (left at its prior when
+    /// MKA is ablated).
+    pub fn seeded(kg: &KnowledgeGraph, config: MultiRagConfig) -> (Self, HistoryStore) {
+        let state = Self::new(kg, KeyInterner::for_graph(kg));
+        let history = HistoryStore::new(config.history_pseudo, 0.5);
+        if config.enable_mka {
+            seed_consensus(kg, &state.tindex, &history);
+        }
+        (state, history)
+    }
+
+    /// The state of `kg` derived from this one, around an interner
+    /// already extended over `kg`. This state must have been derived
+    /// for an earlier state of the same graph: graphs only grow by
+    /// appending entities, relations, sources and triples. Equals
+    /// [`GraphState::new`] over `kg`:
+    ///
+    /// * the index is [`TieredIndex::extend`]ed over the appended
+    ///   claims;
+    /// * the schema lists only entity and relation names, so its `Arc`
+    ///   is shared when `kg` added neither, and rebuilt otherwise;
+    /// * only an appended entity link changes a degree, so the largest
+    ///   degree is the old one raised by the degrees of the links'
+    ///   endpoints.
+    pub fn advance(&self, kg: &KnowledgeGraph, keys: KeyInterner) -> Self {
+        let indexed = self.tindex.stats();
+        let named = (kg.entity_count(), kg.relation_count());
+        let schema = if named == (indexed.entities, indexed.relations) {
+            Arc::clone(&self.schema)
+        } else {
+            Arc::new(kg_schema(kg))
+        };
+        let appended = kg.triples().get(indexed.claims..).unwrap_or(&[]);
+        let mut linked: Vec<EntityId> = appended
+            .iter()
+            .filter_map(|t| match t.object {
+                Object::Entity(object) => Some([t.subject, object]),
+                Object::Literal(_) => None,
+            })
+            .flatten()
+            .collect();
+        linked.sort_unstable();
+        linked.dedup();
+        let max_degree = linked
+            .into_iter()
+            .map(|e| kg.neighbors(e).len())
+            .fold(self.max_degree, usize::max);
         Self {
-            schema: Arc::new(kg_schema(kg)),
-            tindex: Arc::new(TieredIndex::build(kg)),
-            max_degree: kg
-                .entity_ids()
-                .map(|e| kg.neighbors(e).len())
-                .max()
-                .unwrap_or(0),
+            schema,
+            tindex: Arc::new(self.tindex.extend(kg)),
+            max_degree,
             keys,
         }
     }
@@ -440,11 +490,7 @@ impl<'g> MklgpPipeline<'g> {
     /// tier (unless MKA is ablated), then binds.
     pub fn new(kg: &'g KnowledgeGraph, config: MultiRagConfig, seed: u64) -> Self {
         let mlg_started = WallTimer::start();
-        let state = GraphState::new(kg, KeyInterner::for_graph(kg));
-        let history = HistoryStore::new(config.history_pseudo, 0.5);
-        if config.enable_mka {
-            seed_consensus(kg, &state.tindex, &history);
-        }
+        let (state, history) = GraphState::seeded(kg, config);
         // `mlg_build` covers deriving the graph's state (the slot index
         // included) *and* the MKA consistency-feedback rounds.
         let mlg_cost = StageCost {
@@ -1667,6 +1713,31 @@ mod tests {
 
     fn dataset() -> MultiSourceDataset {
         MoviesSpec::small().generate(42)
+    }
+
+    #[test]
+    fn advance_shares_the_schema_until_a_name_is_added() {
+        let mut kg = KnowledgeGraph::new();
+        let source = kg.add_source("a", "csv", "flights");
+        let f1 = kg.add_entity("CA981", "flights");
+        let f2 = kg.add_entity("CA982", "flights");
+        let status = kg.add_relation("status");
+        kg.add_triple(f1, status, Value::from("delayed"), source, 0);
+        let state = GraphState::new(&kg, KeyInterner::for_graph(&kg));
+        // A literal on known names shares the schema.
+        kg.add_triple(f2, status, Value::from("boarding"), source, 1);
+        let literal = state.advance(&kg, KeyInterner::for_graph(&kg));
+        assert!(Arc::ptr_eq(&literal.schema, &state.schema));
+        // A new relation between known entities rebuilds it, and the
+        // link raises the largest degree.
+        let follows = kg.add_relation("follows");
+        kg.add_triple(f2, follows, Object::Entity(f1), source, 2);
+        let linked = literal.advance(&kg, KeyInterner::for_graph(&kg));
+        let schema = kg_schema(&kg);
+        assert_eq!(linked.schema.relations(), schema.relations());
+        assert_eq!(linked.schema.fingerprint(), schema.fingerprint());
+        assert_eq!((literal.max_degree, linked.max_degree), (0, 1));
+        assert_eq!(*linked.tindex, TieredIndex::build(&kg));
     }
 
     fn f1(answers: &[(Vec<Value>, &Query)]) -> f64 {

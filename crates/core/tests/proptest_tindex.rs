@@ -1,13 +1,17 @@
 //! Property-based tests for index-backed retrieval: tiered homologous
-//! matching against the sorted-scan oracle, and worker-count
-//! invariance of concurrent tier descents over a shared index, on
+//! matching against the sorted-scan oracle, worker-count invariance of
+//! concurrent tier descents over a shared index, and graph state
+//! advanced over appended triples against a fresh derivation, on
 //! random multi-source graphs.
 
 use multirag_core::homologous::{match_homologous, match_homologous_tiered};
+use multirag_core::{kg_schema, GraphState};
 use multirag_kg::{
-    EntityId, KnowledgeGraph, RelationId, TieredIndex, TindexCounters, TripleId, Value,
+    EntityId, KeyInterner, KnowledgeGraph, RelationId, SourceId, TieredIndex, TindexCounters,
+    TripleId, Value,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A compact random multi-source graph description: `n` entities,
 /// `r` relations, `s` sources, triples as index tuples with an
@@ -60,6 +64,25 @@ fn build(spec: &GraphSpec) -> KnowledgeGraph {
     kg
 }
 
+/// Appends `triples` to `kg`, registering each entity and relation by
+/// name on first use (sources are registered up front), so a graph cut
+/// at any triple and grown by the rest equals the graph grown in one
+/// go, and names first used after the cut get ids past the cut's
+/// counts.
+fn grow(kg: &mut KnowledgeGraph, spec: &GraphSpec, triples: &[(usize, usize, usize, i64)]) {
+    for &(subj, rel, src, v) in triples {
+        let subject = kg.add_entity(&format!("n{subj}"), "prop");
+        let relation = kg.add_relation(&format!("rel{rel}"));
+        let source = SourceId(src as u32);
+        if v < 0 {
+            let object = kg.add_entity(&format!("n{}", (-v) as usize % spec.n), "prop");
+            kg.add_triple(subject, relation, object, source, 0);
+        } else {
+            kg.add_triple(subject, relation, Value::Int(v), source, 0);
+        }
+    }
+}
+
 /// Every (entity, relation) slot key of the graph, in id order — the
 /// query universe for the descent tests.
 fn slot_universe(kg: &KnowledgeGraph) -> Vec<(EntityId, RelationId)> {
@@ -73,6 +96,38 @@ fn slot_universe(kg: &KnowledgeGraph) -> Vec<(EntityId, RelationId)> {
 }
 
 proptest! {
+    /// Advancing a prefix's graph state over the rest of the graph
+    /// equals deriving it afresh, and both equal the primitives: a
+    /// built index, `kg_schema` and a scan of every entity's degree.
+    /// The appended part mixes entity links (which raise degrees) and
+    /// literals, and may add entities and relations (which rebuild the
+    /// schema; otherwise its `Arc` is shared) or add nothing at all.
+    #[test]
+    fn advance_equals_new_at_random_cuts(spec in graph_spec(), cut in 0usize..64) {
+        let cut = cut.min(spec.triples.len());
+        let mut kg = KnowledgeGraph::new();
+        for i in 0..spec.s {
+            kg.add_source(&format!("s{i}"), "json", "prop");
+        }
+        grow(&mut kg, &spec, &spec.triples[..cut]);
+        let prefix = GraphState::new(&kg, KeyInterner::for_graph(&kg));
+        let named = (kg.entity_count(), kg.relation_count());
+        grow(&mut kg, &spec, &spec.triples[cut..]);
+        let advanced = prefix.advance(&kg, KeyInterner::for_graph(&kg));
+        let fresh = GraphState::new(&kg, KeyInterner::for_graph(&kg));
+        let (index, schema) = (TieredIndex::build(&kg), kg_schema(&kg));
+        let degree = kg.entity_ids().map(|e| kg.neighbors(e).len()).max().unwrap_or(0);
+        for state in [&advanced, &fresh] {
+            prop_assert_eq!(&*state.tindex, &index);
+            prop_assert_eq!(state.max_degree, degree);
+            prop_assert_eq!(state.schema.relations(), schema.relations());
+            prop_assert_eq!(state.schema.entity_count(), schema.entity_count());
+            prop_assert_eq!(state.schema.fingerprint(), schema.fingerprint());
+        }
+        let shared = Arc::ptr_eq(&advanced.schema, &prefix.schema);
+        prop_assert_eq!(shared, named == (kg.entity_count(), kg.relation_count()));
+    }
+
     /// Tiered homologous matching must reproduce the sorted-scan
     /// oracle exactly: same groups (entity, relation, members,
     /// distinct-source counts), same isolated list.

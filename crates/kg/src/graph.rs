@@ -2,7 +2,7 @@
 //!
 //! [`KnowledgeGraph`] owns the interner, the entity / relation / source
 //! tables and the triple log, and maintains secondary indexes over
-//! subject, object entity, predicate and `(subject, predicate)` slots so
+//! subject, object entity and `(subject, predicate)` slots so
 //! the retrieval and homologous-matching layers never scan the full log.
 
 use crate::hash::FxHashMap;
@@ -91,7 +91,6 @@ pub struct KnowledgeGraph {
     triples: Vec<Triple>,
     by_subject: Vec<Vec<TripleId>>,
     by_object_entity: FxHashMap<EntityId, Vec<TripleId>>,
-    by_predicate: FxHashMap<RelationId, Vec<TripleId>>,
     by_slot: FxHashMap<(EntityId, RelationId), Vec<TripleId>>,
 }
 
@@ -196,7 +195,6 @@ impl KnowledgeGraph {
             debug_assert!(obj.index() < self.entities.len(), "unknown object entity");
             self.by_object_entity.entry(obj).or_default().push(id);
         }
-        self.by_predicate.entry(predicate).or_default().push(id);
         self.by_slot
             .entry((subject, predicate))
             .or_default()
@@ -312,11 +310,6 @@ impl KnowledgeGraph {
             .get(&e)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Triples with predicate `r`.
-    pub fn with_predicate(&self, r: RelationId) -> &[TripleId] {
-        self.by_predicate.get(&r).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Triples filling the `(subject, predicate)` slot — the homologous
@@ -493,7 +486,6 @@ mod tests {
         let status = kg.find_relation("status").unwrap();
         assert_eq!(kg.outgoing(ca981).len(), 3);
         assert_eq!(kg.incoming(beijing).len(), 1);
-        assert_eq!(kg.with_predicate(status).len(), 2);
         assert_eq!(kg.slot_triples(ca981, status).len(), 2);
     }
 

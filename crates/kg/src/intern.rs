@@ -5,6 +5,7 @@
 //! system can key maps and compare identities with `u32`s instead of
 //! strings. Interning is append-only; symbols are never invalidated.
 
+use crate::graph::TripleId;
 use crate::hash::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -199,8 +200,8 @@ impl KeyInterner {
         }
         self.local = Interner::new();
         graph.triple_keys.reserve(kg.triple_count() - covered);
-        for (tid, _) in kg.iter_triples().skip(covered) {
-            let value = kg.triple_value(tid).standardized();
+        for id in covered..kg.triple_count() {
+            let value = kg.triple_value(TripleId(id as u32)).standardized();
             self.scratch.clear();
             value.write_canonical_key(&mut self.scratch);
             let before = graph.keys.len();
@@ -262,7 +263,7 @@ impl KeyInterner {
     /// The precomputed key of a triple's standardized value, if this
     /// interner was built with [`KeyInterner::for_graph`] over a graph
     /// containing `tid`. Cache uses count as interner hits.
-    pub fn triple_key(&mut self, tid: crate::graph::TripleId) -> Option<Symbol> {
+    pub fn triple_key(&mut self, tid: TripleId) -> Option<Symbol> {
         let sym = self.graph.triple_keys.get(tid.index()).copied();
         if sym.is_some() {
             self.hits += 1;

@@ -25,9 +25,16 @@
 //! already fixes. The sort-based matcher in `multirag-core` is the
 //! reference oracle: property tests and `repro_index` gate the slot
 //! tier against it.
+//!
+//! Graphs only grow by appending, so the index of a grown graph is
+//! derived from the previous one ([`TieredIndex::extend`]): the
+//! appended claims are sorted and merged into the old arenas, and the
+//! result equals a fresh build. [`TieredIndex::build`] is that merge
+//! from an empty index.
 
 use crate::graph::{KnowledgeGraph, TripleId};
 use crate::triple::{EntityId, RelationId, SourceId};
+use std::ops::Range;
 
 /// A fixed-width bitset over dense `u32` ids: `u64` blocks, one
 /// membership probe per lookup.
@@ -131,7 +138,7 @@ pub struct TindexStats {
 
 /// The three-tier index. All arrays are flat arenas over dense ids;
 /// see the module docs for the tier layout.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TieredIndex {
     // -- tier 1: slots sorted by (entity, relation) --
     slot_entities: Vec<EntityId>,
@@ -151,80 +158,170 @@ pub struct TieredIndex {
 }
 
 impl TieredIndex {
-    /// Builds the index from a graph. Construction sorts the claim
-    /// keys once (`O(n log n)`, same bound as homologous matching) and
-    /// fills every arena with counting passes — sorted vectors only,
-    /// no hash-order iteration.
+    /// Builds the index from a graph: [`TieredIndex::extend`] from an
+    /// empty index, so construction sorts the claim keys once
+    /// (`O(n log n)`, same bound as homologous matching) and fills
+    /// every arena with counting passes — sorted vectors only, no
+    /// hash-order iteration.
     pub fn build(kg: &KnowledgeGraph) -> Self {
-        let n = kg.triple_count();
+        Self::default().extend(kg)
+    }
 
-        // Tier-1 slots: sort claims by (entity, relation, id). Ids
-        // ascend within each slot, so slot postings match the graph's
-        // own `slot_triples` insertion order exactly.
-        let mut keyed: Vec<(EntityId, RelationId, TripleId)> = kg
-            .iter_triples()
-            .map(|(tid, t)| (t.subject, t.predicate, tid))
+    /// The index of `kg`, derived from this one, which must have been
+    /// built for an earlier state of the same graph: graphs only grow
+    /// by appending entities, relations, sources and triples. Equals
+    /// [`TieredIndex::build`] over `kg` field for field, at the cost of
+    /// the appended claims plus one copy of the arenas:
+    ///
+    /// * only the appended claims are sorted, by `(entity, relation,
+    ///   id)`, so their ids ascend within each slot as in the graph's
+    ///   own `slot_triples`;
+    /// * one merge pass copies untouched slot runs as they are, appends
+    ///   each appended run to its slot (its ids follow every old one)
+    ///   or opens a new slot in `(entity, relation)` order, and
+    ///   recounts distinct sources only for the slots it touched;
+    /// * the entity spans are recounted, and each relation's bitset is
+    ///   copied, resized to the graph's claim count and given the
+    ///   appended claims' bits.
+    pub fn extend(&self, kg: &KnowledgeGraph) -> Self {
+        let n = kg.triple_count();
+        let covered = self.slot_claims.len();
+        let appended = kg.triples().get(covered..).unwrap_or(&[]);
+        let mut keyed: Vec<(EntityId, RelationId, TripleId)> = appended
+            .iter()
+            .zip(covered as u32..)
+            .map(|(t, id)| (t.subject, t.predicate, TripleId(id)))
             .collect();
         keyed.sort_unstable();
+        let runs: Vec<&[(EntityId, RelationId, TripleId)]> =
+            keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
 
-        let mut slot_entities = Vec::new();
-        let mut slot_relations = Vec::new();
-        let mut slot_offsets = vec![0u32];
-        let mut slot_claims = Vec::with_capacity(n);
-        let mut slot_sources = Vec::new();
+        let slots = self.slot_count() + runs.len();
+        let mut next = Self {
+            slot_entities: Vec::with_capacity(slots),
+            slot_relations: Vec::with_capacity(slots),
+            slot_offsets: Vec::with_capacity(slots + 1),
+            slot_claims: Vec::with_capacity(n),
+            slot_sources: Vec::with_capacity(slots),
+            ..Self::default()
+        };
+        next.slot_offsets.push(0);
         let mut scratch_sources: Vec<SourceId> = Vec::new();
-        for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        // Old slots below `copied` are in `next` already.
+        let mut copied = 0;
+        for run in runs {
             let Some(&(entity, relation, _)) = run.first() else {
                 continue;
             };
-            slot_entities.push(entity);
-            slot_relations.push(relation);
-            scratch_sources.clear();
-            for &(_, _, tid) in run {
-                slot_claims.push(tid);
-                scratch_sources.push(kg.triple(tid).source);
-            }
-            scratch_sources.sort_unstable();
-            scratch_sources.dedup();
-            slot_sources.push(scratch_sources.len() as u32);
-            slot_offsets.push(slot_claims.len() as u32);
+            let at = self.slot_position(entity, relation);
+            next.copy_slots(self, copied..at);
+            let key = (self.slot_entities.get(at), self.slot_relations.get(at));
+            let old: &[TripleId] = if key == (Some(&entity), Some(&relation)) {
+                copied = at + 1;
+                self.claims(SlotId(at as u32))
+            } else {
+                copied = at;
+                &[]
+            };
+            let claims = old
+                .iter()
+                .copied()
+                .chain(run.iter().map(|&(_, _, tid)| tid));
+            next.push_slot(kg, entity, relation, claims, &mut scratch_sources);
         }
+        next.copy_slots(self, copied..self.slot_count());
 
         // Tier-0 spans: slots are entity-sorted, so each entity's
         // slots are contiguous; a counting pass yields the offsets.
         let mut entity_slot_counts = vec![0u32; kg.entity_count()];
-        for e in &slot_entities {
+        for e in &next.slot_entities {
             if let Some(c) = entity_slot_counts.get_mut(e.index()) {
                 *c += 1;
             }
         }
-        let mut entity_slot_offsets = Vec::with_capacity(entity_slot_counts.len() + 1);
+        next.entity_slot_offsets = Vec::with_capacity(entity_slot_counts.len() + 1);
         let mut acc = 0u32;
-        entity_slot_offsets.push(0);
+        next.entity_slot_offsets.push(0);
         for c in &entity_slot_counts {
             acc += c;
-            entity_slot_offsets.push(acc);
+            next.entity_slot_offsets.push(acc);
         }
 
-        // Per-relation claim bitsets.
-        let mut relation_bits: Vec<Bitset> = (0..kg.relation_count())
-            .map(|_| Bitset::with_capacity(n))
+        // Per-relation claim bitsets, each sized for ids `0..n`.
+        next.relation_bits = (0..kg.relation_count())
+            .map(|r| {
+                let mut bits = self.relation_bits.get(r).cloned().unwrap_or_default();
+                bits.words.resize(n.div_ceil(64), 0);
+                bits
+            })
             .collect();
-        for (tid, t) in kg.iter_triples() {
-            if let Some(bits) = relation_bits.get_mut(t.predicate.index()) {
+        for &(_, relation, tid) in &keyed {
+            if let Some(bits) = next.relation_bits.get_mut(relation.index()) {
                 bits.insert(tid.0);
             }
         }
+        next
+    }
 
-        Self {
-            slot_entities,
-            slot_relations,
-            slot_offsets,
-            slot_claims,
-            slot_sources,
-            entity_slot_offsets,
-            relation_bits,
+    /// The first slot whose key is at least `(entity, relation)`: the
+    /// slot itself when it exists, else where it would open.
+    fn slot_position(&self, entity: EntityId, relation: RelationId) -> usize {
+        let span = self.entity_slot_offsets.get(entity.index());
+        match span.zip(self.entity_slot_offsets.get(entity.index() + 1)) {
+            Some((&lo, &hi)) => {
+                let relations = self.slot_relations.get(lo as usize..hi as usize);
+                lo as usize + relations.map_or(0, |rs| rs.partition_point(|&r| r < relation))
+            }
+            // Entities past the indexed ones own no slot yet.
+            None => self.slot_count(),
         }
+    }
+
+    /// Appends one slot whose postings are `claims`, ascending by id.
+    fn push_slot(
+        &mut self,
+        kg: &KnowledgeGraph,
+        entity: EntityId,
+        relation: RelationId,
+        claims: impl Iterator<Item = TripleId>,
+        scratch_sources: &mut Vec<SourceId>,
+    ) {
+        self.slot_entities.push(entity);
+        self.slot_relations.push(relation);
+        scratch_sources.clear();
+        for tid in claims {
+            self.slot_claims.push(tid);
+            scratch_sources.push(kg.triple(tid).source);
+        }
+        scratch_sources.sort_unstable();
+        scratch_sources.dedup();
+        self.slot_sources.push(scratch_sources.len() as u32);
+        self.slot_offsets.push(self.slot_claims.len() as u32);
+    }
+
+    /// Appends `from`'s slots `slots` unchanged, shifting their claim
+    /// offsets past the claims `self` holds already.
+    fn copy_slots(&mut self, from: &TieredIndex, slots: Range<usize>) {
+        let columns = (
+            from.slot_entities.get(slots.clone()),
+            from.slot_relations.get(slots.clone()),
+            from.slot_sources.get(slots.clone()),
+            from.slot_offsets.get(slots.start..=slots.end),
+        );
+        let (Some(entities), Some(relations), Some(sources), Some(offsets)) = columns else {
+            return;
+        };
+        let (Some(&lo), Some(&hi)) = (offsets.first(), offsets.last()) else {
+            return;
+        };
+        let base = self.slot_claims.len() as u32;
+        self.slot_entities.extend_from_slice(entities);
+        self.slot_relations.extend_from_slice(relations);
+        self.slot_sources.extend_from_slice(sources);
+        let claims = from.slot_claims.get(lo as usize..hi as usize);
+        self.slot_claims.extend_from_slice(claims.unwrap_or(&[]));
+        self.slot_offsets
+            .extend(offsets.iter().skip(1).map(|&o| o - lo + base));
     }
 
     /// Tier-1 slot count.
@@ -414,6 +511,47 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, expect);
         }
+    }
+
+    #[test]
+    fn extend_equals_build_at_every_cut() {
+        // Grown one claim at a time, registering names on first use:
+        // entities and relations arrive past the indexed counts, and
+        // slots open before, between and after indexed ones.
+        let mut kg = KnowledgeGraph::new();
+        let sources = [
+            kg.add_source("a", "csv", "flights"),
+            kg.add_source("b", "json", "flights"),
+        ];
+        let claims = [
+            ("CA982", "status", 0),
+            ("CA981", "gate", 0),
+            ("CA982", "gate", 1),
+            ("CA981", "status", 1),
+            ("CA983", "follows", 0),
+            ("CA982", "status", 1),
+            ("CA981", "gate", 0),
+        ];
+        let mut index = TieredIndex::build(&kg);
+        assert_eq!(index, TieredIndex::build(&KnowledgeGraph::new()));
+        for (i, (entity, relation, source)) in claims.into_iter().enumerate() {
+            let e = kg.add_entity(entity, "flights");
+            let r = kg.add_relation(relation);
+            kg.add_triple(e, r, Value::Int(i as i64), sources[source], 0);
+            let extended = index.extend(&kg);
+            assert_eq!(extended, TieredIndex::build(&kg), "after claim {i}");
+            index = extended;
+        }
+        assert_eq!(index.extend(&kg), index, "an empty delta changes nothing");
+        let whole = TieredIndex::build(&KnowledgeGraph::new()).extend(&kg);
+        assert_eq!(whole, index, "one merge from an empty index");
+        // CA982.status gained a second source; CA981.gate a second
+        // claim from the same one.
+        let (ca982_status, ca981_gate) = (SlotId(0), SlotId(3));
+        assert_eq!(index.claims(ca982_status), &[TripleId(0), TripleId(5)]);
+        assert_eq!(index.slot_source_count(ca982_status), 2);
+        assert_eq!(index.claims(ca981_gate), &[TripleId(1), TripleId(6)]);
+        assert_eq!(index.slot_source_count(ca981_gate), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! substrate against a set model, and tier descent and the slot tier
 //! against linear-scan oracles on random multi-source graphs.
 
-use multirag_kg::{Bitset, KnowledgeGraph, TieredIndex, TindexCounters, TripleId, Value};
+use multirag_kg::{Bitset, KnowledgeGraph, SourceId, TieredIndex, TindexCounters, TripleId, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -19,8 +19,13 @@ struct GraphSpec {
 }
 
 fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (2usize..16, 1usize..5, 1usize..4).prop_flat_map(|(n, r, s)| {
-        let triples = proptest::collection::vec((0..n, 0..r, 0..s, -4i64..4), 0..64);
+    graph_spec_up_to(64)
+}
+
+/// Graphs of fewer than `triples` triples.
+fn graph_spec_up_to(triples: usize) -> impl Strategy<Value = GraphSpec> {
+    (2usize..16, 1usize..5, 1usize..4).prop_flat_map(move |(n, r, s)| {
+        let triples = proptest::collection::vec((0..n, 0..r, 0..s, -4i64..4), 0..triples);
         (Just(n), Just(r), Just(s), triples).prop_map(|(n, r, s, triples)| GraphSpec {
             n,
             r,
@@ -60,7 +65,59 @@ fn build(spec: &GraphSpec) -> KnowledgeGraph {
     kg
 }
 
+/// A graph with the spec's sources and nothing else.
+fn sources_only(spec: &GraphSpec) -> KnowledgeGraph {
+    let mut kg = KnowledgeGraph::new();
+    for i in 0..spec.s {
+        kg.add_source(&format!("s{i}"), "kg", "prop");
+    }
+    kg
+}
+
+/// Appends `triples` to `kg`, registering each entity and relation by
+/// name on first use, so a graph cut at any triple and grown by the
+/// rest equals the graph grown in one go, and names first used after
+/// the cut get ids past the cut's counts.
+fn grow(kg: &mut KnowledgeGraph, spec: &GraphSpec, triples: &[(usize, usize, usize, i64)]) {
+    for &(subj, rel, src, v) in triples {
+        let subject = kg.add_entity(&format!("n{subj}"), "prop");
+        let relation = kg.add_relation(&format!("rel{rel}"));
+        let source = SourceId(src as u32);
+        if v < 0 {
+            let object = kg.add_entity(&format!("n{}", (-v) as usize % spec.n), "prop");
+            kg.add_triple(subject, relation, object, source, 0);
+        } else {
+            kg.add_triple(subject, relation, Value::Int(v), source, 0);
+        }
+    }
+}
+
 proptest! {
+    /// Extending an index over the claims appended since equals
+    /// building it: a random graph is cut at two random triples (an
+    /// empty prefix and an empty delta included), the prefix is
+    /// indexed, and the index is extended over each further part in
+    /// turn. The parts open new slots before, between and after old
+    /// ones, for entities and relations past the old counts too, and
+    /// the claim counts cross 64-bit bitset words.
+    #[test]
+    fn extend_equals_build_at_random_cuts(
+        spec in graph_spec_up_to(200),
+        cuts in (0usize..210, 0usize..210),
+    ) {
+        let len = spec.triples.len();
+        let (a, b) = (cuts.0.min(len), cuts.1.min(len));
+        let (first, second) = (a.min(b), a.max(b));
+        let mut kg = sources_only(&spec);
+        grow(&mut kg, &spec, &spec.triples[..first]);
+        let mut index = TieredIndex::build(&kg);
+        for part in [&spec.triples[first..second], &spec.triples[second..]] {
+            grow(&mut kg, &spec, part);
+            index = index.extend(&kg);
+            prop_assert_eq!(&index, &TieredIndex::build(&kg));
+        }
+    }
+
     /// Bitset round-trip: inserted bits are contained, absent bits are
     /// not, and `insert` reports exactly the first insertion.
     #[test]

@@ -13,7 +13,12 @@
 //! * its interner equals [`KeyInterner::for_graph`] over its graph:
 //!   answers alone cannot show a stale interner, because profile
 //!   building falls back to computing keys, so only its symbols and
-//!   hit/miss counters would drift.
+//!   hit/miss counters would drift;
+//! * it equals, field by field, the snapshot of a reference writer fed
+//!   the same updates that keeps every snapshot alive. The writer under
+//!   test drops each snapshot before the next publish, so it always
+//!   takes the retired epoch back and rolls it forward; the reference
+//!   can never, so it always clones.
 
 use multirag_core::{
     match_homologous, match_homologous_tiered, GraphState, MklgpPipeline, MultiRagConfig,
@@ -21,8 +26,8 @@ use multirag_core::{
 use multirag_datasets::movies::MoviesSpec;
 use multirag_datasets::spec::Scale;
 use multirag_datasets::{MultiSourceDataset, Query};
+use multirag_kg::{persist, KnowledgeGraph, Value};
 use multirag_kg::{EntityId, KeyInterner, RelationId, SourceId, Symbol, TindexCounters, TripleId};
-use multirag_kg::{KnowledgeGraph, Value};
 use multirag_serve::{EpochSnapshot, IndexWriter, TripleUpdate};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -179,6 +184,33 @@ fn check_snapshot(snap: &EpochSnapshot, queries: &[Query]) -> Result<(), TestCas
     Ok(())
 }
 
+/// The heap address of `entity`'s subject postings: a graph the writer
+/// took back keeps it, and a clone allocates its own.
+fn postings_address(graph: &KnowledgeGraph, entity: EntityId) -> usize {
+    graph.outgoing(entity).as_ptr() as usize
+}
+
+/// Everything a publish derives, between the rolled-forward writer and
+/// the cloning reference: the snapshots' graphs, tiered indexes,
+/// schemas, largest degrees and interners, and the writers' own graphs.
+fn assert_same_publish(
+    (rolled, writer): (&EpochSnapshot, &IndexWriter),
+    (cloned, reference): (&EpochSnapshot, &IndexWriter),
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(persist::dump(&rolled.graph), persist::dump(&cloned.graph));
+    prop_assert_eq!(writer.dump(), reference.dump());
+    prop_assert_eq!(&*rolled.state.tindex, &*cloned.state.tindex);
+    let (a, b) = (&rolled.state.schema, &cloned.state.schema);
+    prop_assert_eq!(a.relations(), b.relations());
+    prop_assert_eq!(a.entity_count(), b.entity_count());
+    prop_assert_eq!(a.fingerprint(), b.fingerprint());
+    prop_assert_eq!(rolled.state.max_degree, cloned.state.max_degree);
+    let triples = rolled.graph.triple_count();
+    assert_same_interner(&rolled.state.keys, &cloned.state.keys, triples)?;
+    prop_assert_eq!(rolled.updates_applied, cloned.updates_applied);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -186,12 +218,25 @@ proptest! {
     /// equal to batch matching, with each `apply` return equal to the
     /// slot's claim count in the next snapshot, and binds pipelines
     /// that answer like from-scratch ones, with an interner equal to a
-    /// fresh `for_graph` build.
+    /// fresh `for_graph` build. Every publish after the first rolls the
+    /// retired epoch forward, and equals the reference writer's clone.
     #[test]
     fn bound_snapshots_match_from_scratch_pipelines(specs in batches()) {
         let data = dataset();
         let mut writer = IndexWriter::new(data.graph.clone(), MultiRagConfig::default(), SEED);
-        check_snapshot(&writer.publish(), &data.queries)?;
+        let mut reference =
+            IndexWriter::new(data.graph.clone(), MultiRagConfig::default(), SEED);
+        let mut held = vec![reference.publish()];
+        let first = writer.publish();
+        assert_same_publish((&first, &writer), (&held[0], &reference))?;
+        check_snapshot(&first, &data.queries)?;
+        // The updates touch the dataset's first `OWN` entities only.
+        let untouched = (OWN as u32..data.graph.entity_count() as u32)
+            .map(EntityId)
+            .find(|&e| !data.graph.outgoing(e).is_empty())
+            .expect("an entity with postings the updates never touch");
+        let mut retired = postings_address(&first.graph, untouched);
+        drop(first);
         let mut applied = Vec::new();
         for batch in &specs {
             // Last `apply` return per slot in this batch; returns for
@@ -200,6 +245,7 @@ proptest! {
             for spec in batch {
                 let u = update(writer.graph(), spec);
                 let returned = writer.apply(&u);
+                prop_assert_eq!(reference.apply(&u), returned);
                 let slot = (u.entity.clone(), u.relation.clone());
                 if let Some(&previous) = cardinality.get(&slot) {
                     prop_assert_eq!(returned, previous + 1);
@@ -208,10 +254,19 @@ proptest! {
                 applied.push(u);
             }
             let snap = writer.publish();
+            held.push(reference.publish());
+            let (cloned, still_held) = (&held[held.len() - 1], &held[held.len() - 2]);
+            prop_assert_eq!(postings_address(writer.graph(), untouched), retired);
+            prop_assert_ne!(
+                postings_address(reference.graph(), untouched),
+                postings_address(&still_held.graph, untouched)
+            );
+            assert_same_publish((&snap, &writer), (cloned, &reference))?;
             for ((entity, relation), &returned) in &cardinality {
                 prop_assert_eq!(tier_claims(&snap, entity, relation), returned);
             }
             check_snapshot(&snap, &queries(&applied))?;
+            retired = postings_address(&snap.graph, untouched);
         }
     }
 }
