@@ -12,43 +12,20 @@ use crate::common::{slot_claims, FusionMethod, MethodAnswer, SlotClaim};
 use multirag_datasets::Query;
 use multirag_kg::{FxHashMap, KnowledgeGraph, SourceId};
 
-/// FusionQuery configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusionQueryParams {
-    /// Per-query EM iterations.
-    pub em_iters: usize,
-    /// Veracity threshold for answering.
-    pub threshold: f64,
-    /// Learning rate of the incremental trust update.
-    pub trust_lr: f64,
-}
-
-impl Default for FusionQueryParams {
-    fn default() -> Self {
-        Self {
-            em_iters: 5,
-            threshold: 0.5,
-            trust_lr: 0.1,
-        }
-    }
-}
+/// Per-query EM iterations.
+const EM_ITERS: usize = 5;
+/// Veracity threshold for answering, relative to the best value.
+const THRESHOLD: f64 = 0.5;
+/// Learning rate of the incremental trust update.
+const TRUST_LR: f64 = 0.1;
 
 /// On-demand fusion querying.
 #[derive(Debug, Default)]
 pub struct FusionQuery {
-    params: FusionQueryParams,
     trust: FxHashMap<SourceId, f64>,
 }
 
 impl FusionQuery {
-    /// Creates a FusionQuery with explicit parameters.
-    pub fn with_params(params: FusionQueryParams) -> Self {
-        Self {
-            params,
-            trust: FxHashMap::default(),
-        }
-    }
-
     /// Current learned trust of a source.
     pub fn trust(&self, source: SourceId) -> f64 {
         self.trust.get(&source).copied().unwrap_or(0.7)
@@ -77,7 +54,7 @@ impl FusionQuery {
         let mut trust: FxHashMap<SourceId, f64> =
             slot_sources.iter().map(|&s| (s, self.trust(s))).collect();
         let mut veracity: FxHashMap<String, f64> = FxHashMap::default();
-        for _ in 0..self.params.em_iters {
+        for _ in 0..EM_ITERS {
             // E: veracity of each value from asserting/non-asserting trust.
             for v in &values {
                 let yes = &asserters[v];
@@ -129,7 +106,7 @@ impl FusionMethod for FusionQuery {
         let best = scored.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
         // Veracity-thresholded answers (relative threshold handles
         // multi-valued truths whose support splits).
-        let cutoff = (self.params.threshold * best).max(1e-9);
+        let cutoff = (THRESHOLD * best).max(1e-9);
         let keep: std::collections::HashSet<&str> = scored
             .iter()
             .filter(|&&(_, s)| s >= cutoff)
@@ -159,7 +136,7 @@ impl FusionMethod for FusionQuery {
             let observed = agree as f64 / total as f64;
             let current = self.trust(s);
             self.trust
-                .insert(s, current + self.params.trust_lr * (observed - current));
+                .insert(s, current + TRUST_LR * (observed - current));
         }
         MethodAnswer {
             values,

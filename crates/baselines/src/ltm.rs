@@ -12,50 +12,26 @@ use crate::common::{slot_claims, FusionMethod, MethodAnswer};
 use multirag_datasets::Query;
 use multirag_kg::{FxHashMap, KnowledgeGraph, Object, SourceId, Value};
 
-/// LTM hyperparameters (Beta priors and prior truth rate).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LtmParams {
-    /// Beta prior for sensitivity (alpha, beta).
-    pub sensitivity_prior: (f64, f64),
-    /// Beta prior for specificity (alpha, beta).
-    pub specificity_prior: (f64, f64),
-    /// Prior probability a claim is true.
-    pub truth_prior: f64,
-    /// EM iterations.
-    pub iterations: usize,
-}
-
-impl Default for LtmParams {
-    fn default() -> Self {
-        Self {
-            sensitivity_prior: (8.0, 2.0),
-            specificity_prior: (4.0, 2.0),
-            truth_prior: 0.5,
-            iterations: 12,
-        }
-    }
-}
+/// Beta prior for sensitivity (alpha, beta).
+const SENSITIVITY_PRIOR: (f64, f64) = (8.0, 2.0);
+/// Beta prior for specificity (alpha, beta).
+const SPECIFICITY_PRIOR: (f64, f64) = (4.0, 2.0);
+/// Prior probability a claim is true.
+const TRUTH_PRIOR: f64 = 0.5;
+/// EM iterations.
+const ITERATIONS: usize = 12;
 
 type FactKey = (u32, u32, String);
 
 /// The Latent Truth Model.
 #[derive(Debug, Default)]
 pub struct Ltm {
-    params: LtmParams,
     posterior: FxHashMap<FactKey, f64>,
     sensitivity: FxHashMap<SourceId, f64>,
     specificity: FxHashMap<SourceId, f64>,
 }
 
 impl Ltm {
-    /// Creates an LTM with explicit parameters.
-    pub fn with_params(params: LtmParams) -> Self {
-        Self {
-            params,
-            ..Self::default()
-        }
-    }
-
     /// Posterior truth of a fact (after prepare).
     pub fn truth_posterior(&self, key: &FactKey) -> f64 {
         self.posterior.get(key).copied().unwrap_or(0.0)
@@ -107,22 +83,22 @@ impl FusionMethod for Ltm {
             }
         }
 
-        let (sa, sb) = self.params.sensitivity_prior;
-        let (pa, pb) = self.params.specificity_prior;
+        let (sa, sb) = SENSITIVITY_PRIOR;
+        let (pa, pb) = SPECIFICITY_PRIOR;
         let mut sens: FxHashMap<SourceId, f64> =
             kg.source_ids().map(|s| (s, sa / (sa + sb))).collect();
         let mut spec: FxHashMap<SourceId, f64> =
             kg.source_ids().map(|s| (s, pa / (pa + pb))).collect();
         let mut posterior: FxHashMap<FactKey, f64> = FxHashMap::default();
 
-        for _ in 0..self.params.iterations {
+        for _ in 0..ITERATIONS {
             // E-step: truth posterior per fact.
             for (slot, facts) in &slot_facts {
                 let covering = &slot_sources[slot];
                 for key in facts {
                     let yes = &asserters[key];
-                    let mut log_true = self.params.truth_prior.ln();
-                    let mut log_false = (1.0 - self.params.truth_prior).ln();
+                    let mut log_true = TRUTH_PRIOR.ln();
+                    let mut log_false = (1.0 - TRUTH_PRIOR).ln();
                     for s in covering {
                         let asserted = yes.contains(s);
                         let se = sens[s].clamp(0.01, 0.99);

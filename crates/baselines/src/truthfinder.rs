@@ -13,35 +13,19 @@ use crate::common::{slot_claims, FusionMethod, MethodAnswer};
 use multirag_datasets::Query;
 use multirag_kg::{FxHashMap, KnowledgeGraph, Object, SourceId, Value};
 
-/// TruthFinder configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruthFinderParams {
-    /// Dampening factor γ on the log-trust sum (mitigates source
-    /// dependence).
-    pub gamma: f64,
-    /// Initial source trust.
-    pub initial_trust: f64,
-    /// Convergence tolerance on the trust vector (cosine distance).
-    pub tolerance: f64,
-    /// Maximum iterations.
-    pub max_iters: usize,
-}
-
-impl Default for TruthFinderParams {
-    fn default() -> Self {
-        Self {
-            gamma: 0.3,
-            initial_trust: 0.8,
-            tolerance: 1e-4,
-            max_iters: 20,
-        }
-    }
-}
+/// Dampening factor γ on the log-trust sum (mitigates source
+/// dependence).
+const GAMMA: f64 = 0.3;
+/// Initial source trust.
+const INITIAL_TRUST: f64 = 0.8;
+/// Convergence tolerance on the mean absolute change of source trust.
+const TOLERANCE: f64 = 1e-4;
+/// Maximum iterations.
+const MAX_ITERS: usize = 20;
 
 /// TruthFinder fusion.
 #[derive(Debug, Default)]
 pub struct TruthFinder {
-    params: TruthFinderParams,
     /// Converged claim confidence per (slot, value-key).
     confidence: FxHashMap<(u32, u32, String), f64>,
     /// Converged source trust.
@@ -50,20 +34,9 @@ pub struct TruthFinder {
 }
 
 impl TruthFinder {
-    /// Creates a TruthFinder with explicit parameters.
-    pub fn with_params(params: TruthFinderParams) -> Self {
-        Self {
-            params,
-            ..Self::default()
-        }
-    }
-
     /// Converged trust of a source (after [`FusionMethod::prepare`]).
     pub fn source_trust(&self, source: SourceId) -> f64 {
-        self.trust
-            .get(&source)
-            .copied()
-            .unwrap_or(self.params.initial_trust)
+        self.trust.get(&source).copied().unwrap_or(INITIAL_TRUST)
     }
 
     /// Iterations to convergence.
@@ -100,13 +73,11 @@ impl FusionMethod for TruthFinder {
                 by_source.entry(t.source).or_default().push(key.clone());
             }
         }
-        let mut trust: FxHashMap<SourceId, f64> = kg
-            .source_ids()
-            .map(|s| (s, self.params.initial_trust))
-            .collect();
+        let mut trust: FxHashMap<SourceId, f64> =
+            kg.source_ids().map(|s| (s, INITIAL_TRUST)).collect();
         let mut confidence: FxHashMap<(u32, u32, String), f64> = FxHashMap::default();
         self.iterations_run = 0;
-        for _ in 0..self.params.max_iters {
+        for _ in 0..MAX_ITERS {
             self.iterations_run += 1;
             // Claim confidence from source trust (log-space sum, damped).
             for (key, sources) in &facts {
@@ -115,7 +86,7 @@ impl FusionMethod for TruthFinder {
                     let t = trust[s].clamp(1e-6, 1.0 - 1e-6);
                     sigma += -(1.0 - t).ln();
                 }
-                let conf = 1.0 - (-self.params.gamma * sigma).exp();
+                let conf = 1.0 - (-GAMMA * sigma).exp();
                 confidence.insert(key.clone(), conf);
             }
             // Source trust from claim confidence.
@@ -126,7 +97,7 @@ impl FusionMethod for TruthFinder {
                 delta += (mean - old).abs();
                 trust.insert(*source, mean);
             }
-            if delta / (trust.len().max(1) as f64) < self.params.tolerance {
+            if delta / (trust.len().max(1) as f64) < TOLERANCE {
                 break;
             }
         }
@@ -192,7 +163,7 @@ mod tests {
         let data = MoviesSpec::small().generate(42);
         let tf = prepared(&data);
         assert!(tf.iterations() >= 2);
-        assert!(tf.iterations() <= TruthFinderParams::default().max_iters);
+        assert!(tf.iterations() <= MAX_ITERS);
     }
 
     #[test]

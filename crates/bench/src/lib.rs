@@ -19,9 +19,10 @@
 //! | `repro_slo` | SLO telemetry: burn-rate alerts, log-bucket percentiles, tail attribution (`results/slo.json`) |
 //! | `repro_cluster` | sharded serving: 1-node == N-node parity, merge tier, shard scaling (`results/cluster.json`) |
 //!
-//! Criterion microbenches (in `benches/`) cover module-level costs
-//! (Q5): MLG construction, homologous matching, MI confidence, BM25 /
-//! TF-IDF retrieval, the parsers and the end-to-end pipeline.
+//! Module-level wall time (Q5) is measured by `perfbench/`'s per-layer
+//! metrics and by the gated wall legs of `repro_perf` (the MCC kernel
+//! against its reference) and `repro_index` (tier descent against a
+//! scan).
 //!
 //! Scale is controlled by `MULTIRAG_SCALE` (`small` | `bench` |
 //! `large`, default `bench`) and `MULTIRAG_SEED` (default 42) so CI can

@@ -29,12 +29,11 @@
 //! [`mcc_filter_reference`]) is retained as the equivalence oracle: it
 //! rebuilds string-keyed distributions per pair, and proptests assert
 //! the kernel is **bit-identical** (not ε-close) to it. Nothing selects
-//! the oracle at run time — MKLGP runs only the kernel, and tests, the
-//! `repro_perf` harness and the criterion benches call the reference
-//! functions directly. To keep the contract checkable, both paths do
-//! their floating-point work in the same order: distributions iterate
-//! in sorted-canonical-key order and masses accumulate by repeated
-//! `+= w`.
+//! the oracle at run time — MKLGP runs only the kernel, and tests and
+//! the `repro_perf` harness call the reference functions directly. To
+//! keep the contract checkable, both paths do their floating-point
+//! work in the same order: distributions iterate in sorted-canonical-key
+//! order and masses accumulate by repeated `+= w`.
 
 use crate::config::MultiRagConfig;
 use crate::history::HistoryStore;
@@ -263,22 +262,6 @@ fn uniform_assessment(claim: (TripleId, Value, SourceId)) -> NodeConfidence {
         authority: 0.5,
         confidence: 1.0,
     }
-}
-
-/// Node-level assessment of every claim in a group (Eqs. 8–11).
-///
-/// `max_degree` is the graph's maximum entity degree (computed once per
-/// graph by the pipeline and passed down).
-pub fn assess_group(
-    kg: &KnowledgeGraph,
-    group: &HomologousGroup,
-    llm: &mut MockLlm,
-    history: &HistoryStore,
-    config: &MultiRagConfig,
-    max_degree: usize,
-) -> Vec<NodeConfidence> {
-    let claims = group_values(kg, group);
-    assess_claims(kg, group, &claims, llm, history, config, max_degree)
 }
 
 /// Node-level assessment over an explicit claim pool (the gated subset
@@ -1185,7 +1168,8 @@ mod tests {
         let mut llm = MockLlm::new(Schema::new(), 7);
         let history = HistoryStore::paper_defaults();
         let config = MultiRagConfig::default();
-        let nodes = assess_group(&kg, &group, &mut llm, &history, &config, 10);
+        let claims = group_values(&kg, &group);
+        let nodes = assess_claims(&kg, &group, &claims, &mut llm, &history, &config, 10);
         // Node values are standardized ("on-time" → "on time").
         let delayed: Vec<&NodeConfidence> = nodes
             .iter()
@@ -1215,7 +1199,8 @@ mod tests {
         history.record(SourceId(0), 95, 100);
         history.record(SourceId(1), 5, 100);
         let config = MultiRagConfig::default();
-        let nodes = assess_group(&kg, &group, &mut llm, &history, &config, 10);
+        let claims = group_values(&kg, &group);
+        let nodes = assess_claims(&kg, &group, &claims, &mut llm, &history, &config, 10);
         let good = nodes.iter().find(|a| a.source == SourceId(0)).unwrap();
         let bad = nodes.iter().find(|a| a.source == SourceId(1)).unwrap();
         assert!(good.auth_hist > bad.auth_hist);

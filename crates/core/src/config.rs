@@ -74,11 +74,6 @@ impl MultiRagConfig {
         self
     }
 
-    /// Whether any MCC stage is active.
-    pub fn mcc_enabled(&self) -> bool {
-        self.enable_graph_level || self.enable_node_level
-    }
-
     /// Sets α (clamped to `[0, 1]`), for the Fig. 7 sweep.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha.clamp(0.0, 1.0);
@@ -110,7 +105,7 @@ mod tests {
         let c = MultiRagConfig::default().without_node_level();
         assert!(c.enable_graph_level && !c.enable_node_level);
         let c = MultiRagConfig::default().without_mcc();
-        assert!(!c.mcc_enabled());
+        assert!(!c.enable_graph_level && !c.enable_node_level);
         assert!(c.enable_mka);
     }
 

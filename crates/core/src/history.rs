@@ -105,11 +105,6 @@ impl HistoryStore {
         ((h * pr_h) + current_support) / (h + slot_size as f64)
     }
 
-    /// Resets all history (between experiment phases).
-    pub fn reset(&self) {
-        self.inner.write().clear();
-    }
-
     /// Freezes the store: further [`record`](HistoryStore::record)
     /// calls are ignored until [`thaw`](HistoryStore::thaw).
     pub fn freeze(&self) {
@@ -213,15 +208,6 @@ mod tests {
         store.record(good, 90, 100);
         store.record(bad, 10, 100);
         assert!(store.auth_hist(good, 2.0, 4) > store.auth_hist(bad, 2.0, 4));
-    }
-
-    #[test]
-    fn reset_restores_priors() {
-        let store = HistoryStore::paper_defaults();
-        store.record(SourceId(8), 50, 50);
-        assert!(store.credibility(SourceId(8)) > 0.5);
-        store.reset();
-        assert_eq!(store.credibility(SourceId(8)), 0.5);
     }
 
     #[test]

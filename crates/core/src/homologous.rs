@@ -11,9 +11,9 @@
 //! triples, as the paper claims. The sort happens once per graph, in
 //! [`TieredIndex::build`]; [`match_homologous_tiered`] reads the groups
 //! off its slot tier. [`match_homologous`] redoes the sort on its own
-//! and is kept as the reference oracle: property tests, `repro_index`'s
-//! digest gate and the criterion bench compare against it, and no
-//! library code calls it.
+//! and is kept as the reference oracle: property tests and
+//! `repro_index`'s digest gate compare against it, and no library code
+//! calls it.
 
 use multirag_kg::{EntityId, KnowledgeGraph, RelationId, SlotId, TieredIndex, TripleId};
 
@@ -31,12 +31,6 @@ pub struct HomologousGroup {
 }
 
 impl HomologousGroup {
-    /// The center node's `name` component (Definition 4): the common
-    /// attribute name.
-    pub fn center_name<'a>(&self, kg: &'a KnowledgeGraph) -> &'a str {
-        kg.relation_name(self.relation)
-    }
-
     /// `num` of the center node: the number of homologous instances.
     pub fn num(&self) -> usize {
         self.triples.len()
@@ -197,7 +191,6 @@ mod tests {
         let group = sets.group_for(f1, status).unwrap();
         assert_eq!(group.num(), 3);
         assert_eq!(group.source_count, 3);
-        assert_eq!(group.center_name(&kg), "status");
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl LoopConfig {
         self
     }
 
-    /// Sets the deadline budget in integer microseconds.
-    pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
-        self.deadline_us = deadline_us;
-        self
-    }
-
     /// Sets the deadline budget from simulated milliseconds, quantized
     /// to the integer-µs convention via [`ms_to_us`].
     pub fn with_deadline_ms(mut self, deadline_ms: f64) -> Self {
@@ -159,9 +153,8 @@ mod tests {
 
     #[test]
     fn deadline_builders_agree_on_the_us_convention() {
-        let a = LoopConfig::default().with_deadline_ms(12.5);
-        let b = LoopConfig::default().with_deadline_us(12_500);
-        assert_eq!(a, b);
+        let cfg = LoopConfig::default().with_deadline_ms(12.5);
+        assert_eq!(cfg.deadline_us, 12_500);
     }
 
     #[test]

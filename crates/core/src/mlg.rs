@@ -1,16 +1,14 @@
 //! The multi-source line graph (MLG) — §III-B / Definition 2 / Fig. 4.
 //!
 //! [`MultiSourceLineGraph`] combines the triple line-graph transform
-//! with the homologous-group index: every homologous slot's triples
-//! form a clique; the whole structure is indexed by entity so per-query
-//! extraction touches only the relevant cluster instead of traversing
-//! the original graph — the source of the MKA module's 10–100× query
-//! acceleration (Table III).
+//! with the homologous groups: every homologous slot's triples form a
+//! clique. Per-query extraction reads the same groups off the
+//! [`TieredIndex`] slot tier instead of traversing the original graph
+//! — the source of the MKA module's 10–100× query acceleration
+//! (Table III).
 
 use crate::homologous::{match_homologous_tiered, HomologousGroup, HomologousSets};
-use multirag_kg::{
-    EntityId, FxHashMap, KnowledgeGraph, LineGraph, RelationId, TieredIndex, TripleId,
-};
+use multirag_kg::{FxHashMap, KnowledgeGraph, LineGraph, TieredIndex, TripleId};
 
 /// The aggregated multi-source line graph with its slot index.
 ///
@@ -33,8 +31,6 @@ pub struct MultiSourceLineGraph {
     line_graph: LineGraph,
     /// Homologous groups + isolated points.
     sets: HomologousSets,
-    /// Entity → group indices (into `sets.groups`).
-    by_entity: FxHashMap<EntityId, Vec<u32>>,
     /// TripleId → line-graph node position.
     node_of_triple: FxHashMap<TripleId, u32>,
 }
@@ -53,10 +49,6 @@ impl MultiSourceLineGraph {
     pub fn build_with_index(kg: &KnowledgeGraph, index: &TieredIndex) -> Self {
         let line_graph = LineGraph::from_graph(kg);
         let sets = match_homologous_tiered(index);
-        let mut by_entity: FxHashMap<EntityId, Vec<u32>> = FxHashMap::default();
-        for (gi, group) in sets.groups.iter().enumerate() {
-            by_entity.entry(group.entity).or_default().push(gi as u32);
-        }
         let node_of_triple: FxHashMap<TripleId, u32> = line_graph
             .triple_ids()
             .iter()
@@ -66,7 +58,6 @@ impl MultiSourceLineGraph {
         Self {
             line_graph,
             sets,
-            by_entity,
             node_of_triple,
         }
     }
@@ -79,23 +70,6 @@ impl MultiSourceLineGraph {
     /// All homologous groups and isolated points.
     pub fn sets(&self) -> &HomologousSets {
         &self.sets
-    }
-
-    /// Groups anchored at `entity`.
-    pub fn groups_of(&self, entity: EntityId) -> Vec<&HomologousGroup> {
-        self.by_entity
-            .get(&entity)
-            .map(|idxs| {
-                idxs.iter()
-                    .map(|&i| &self.sets.groups[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The group of a specific slot.
-    pub fn slot_group(&self, entity: EntityId, relation: RelationId) -> Option<&HomologousGroup> {
-        self.sets.group_for(entity, relation)
     }
 
     /// Line-graph node position of a triple.
@@ -169,17 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn build_indexes_groups_by_entity() {
-        let kg = sample();
-        let mlg = MultiSourceLineGraph::build(&kg);
-        let flight = kg.find_entity("CA981", "flights").unwrap();
-        let other = kg.find_entity("CA982", "flights").unwrap();
-        assert_eq!(mlg.groups_of(flight).len(), 1);
-        assert!(mlg.groups_of(other).is_empty());
-        assert_eq!(mlg.sets().isolated.len(), 1);
-    }
-
-    #[test]
     fn homologous_groups_are_cliques() {
         let kg = sample();
         let mlg = MultiSourceLineGraph::build(&kg);
@@ -209,17 +172,6 @@ mod tests {
             assert!(mlg.node_of(tid).is_some());
         }
         assert_eq!(mlg.node_count(), kg.triple_count());
-    }
-
-    #[test]
-    fn slot_group_lookup() {
-        let kg = sample();
-        let mlg = MultiSourceLineGraph::build(&kg);
-        let flight = kg.find_entity("CA981", "flights").unwrap();
-        let status = kg.find_relation("status").unwrap();
-        let gate = kg.find_relation("gate").unwrap();
-        assert!(mlg.slot_group(flight, status).is_some());
-        assert!(mlg.slot_group(flight, gate).is_none());
     }
 
     #[test]

@@ -2305,7 +2305,7 @@ mod tests {
             .with_loop_control(
                 LoopConfig::default()
                     .with_max_attempts(3)
-                    .with_deadline_us(1),
+                    .with_deadline_ms(0.001),
             );
         let answers: Vec<PipelineAnswer> = data.queries.iter().map(|q| p.answer(q)).collect();
         let exhausted: Vec<&PipelineAnswer> = answers

@@ -43,8 +43,6 @@ pub use harness::{
 };
 pub use loopsweep::{run_loop_sweep, LoopSweep, LoopSweepConfig};
 pub use metrics::{f1_score, precision_recall, recall_at_k, SetScores};
-pub use parallel::{
-    parallel_map, parallel_map_with, try_parallel_map, try_parallel_map_with, CellPanic,
-};
+pub use parallel::{parallel_map, parallel_map_with};
 pub use table::Table;
 pub use timing::TimeReport;

@@ -5,111 +5,35 @@
 //! with [`parallel_map`]. Determinism is unaffected: each cell seeds
 //! its own RNGs.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use parking_lot::Mutex;
 
-/// A cell whose closure panicked during [`try_parallel_map`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellPanic {
-    /// Index of the input item whose closure panicked.
-    pub index: usize,
-    /// The panic payload rendered as text, when it was a string.
-    pub message: String,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Applies `f` to every item on a pool of crossbeam-scoped threads
-/// (capped at `max_threads` concurrent items) and returns per-cell
-/// results in input order. A panicking cell is trapped at the cell
-/// boundary and reported as `Err(CellPanic)`; its siblings keep running
-/// and their results are kept — one poisoned experiment cell no longer
-/// takes the whole sweep down with it.
-pub fn try_parallel_map<T, R, F>(
-    items: Vec<T>,
-    max_threads: usize,
-    f: F,
-) -> Vec<Result<R, CellPanic>>
+/// Applies `f` to every item on up to `max_threads` scoped threads and
+/// returns the results in input order.
+///
+/// A panicking cell ends only its own worker. Cells in flight on other
+/// workers finish, and queued cells keep running while at least one
+/// worker survives; with one worker, or once every worker has panicked,
+/// the rest of the queue never runs. After all workers have stopped,
+/// the scope re-raises as the generic "a scoped thread panicked"; the
+/// cell's own message is what the panic hook printed when it fired.
+pub fn parallel_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    try_parallel_map_with(items, max_threads, |_| (), |_, item| f(item))
+    parallel_map_with(items, max_threads, |_| (), |_, item| f(item))
 }
 
-/// The stateful variant of [`try_parallel_map`]: each worker thread
-/// builds its own long-lived state once via `init(worker_index)` and
-/// threads it through every cell it processes. The cluster router and
+/// The stateful variant of [`parallel_map`]: each worker thread builds
+/// its own long-lived state once via `init(worker_index)` and threads
+/// it through every cell it processes. The cluster router and
 /// `loopsweep` use this to give each worker its own pipeline clone
 /// instead of rebuilding one per request.
 ///
-/// A panicking cell may leave the worker state inconsistent, so the
-/// worker rebuilds it with `init` before touching the next cell.
-pub fn try_parallel_map_with<T, S, R, Init, F>(
-    items: Vec<T>,
-    max_threads: usize,
-    init: Init,
-    f: F,
-) -> Vec<Result<R, CellPanic>>
-where
-    T: Send,
-    R: Send,
-    Init: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let max_threads = max_threads.max(1);
-    let n = items.len();
-    let mut results: Vec<Option<Result<R, CellPanic>>> = (0..n).map(|_| None).collect();
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = parking_lot::Mutex::new(work);
-    let out = parking_lot::Mutex::new(&mut results);
-    let run =
-        crossbeam::scope(|scope| {
-            let (init, f, queue, out) = (&init, &f, &queue, &out);
-            for worker in 0..max_threads.min(n.max(1)) {
-                scope.spawn(move |_| {
-                    let mut state = init(worker);
-                    loop {
-                        let item = queue.lock().pop();
-                        let Some((idx, item)) = item else {
-                            break;
-                        };
-                        // AssertUnwindSafe: the slot is written exactly
-                        // once, so a trapped panic cannot leave a cell
-                        // half-filled; the worker state is rebuilt below.
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&mut state, item)))
-                            .map_err(|payload| CellPanic {
-                                index: idx,
-                                message: panic_message(payload.as_ref()),
-                            });
-                        if result.is_err() {
-                            state = init(worker);
-                        }
-                        out.lock()[idx] = Some(result);
-                    }
-                });
-            }
-        });
-    // Cells trap their own panics, so the scope can only fail if a
-    // worker died outside the cell boundary — nothing to salvage then.
-    run.expect("worker thread died outside the cell boundary");
-    results
-        .into_iter()
-        .map(|r| r.expect("every index filled"))
-        .collect()
-}
-
-/// Infallible wrapper over [`try_parallel_map_with`]: per-worker state,
-/// results in input order, first trapped panic re-raised after every
-/// sibling finishes.
+/// Workers take cells from the back of the input, so one worker visits
+/// them last to first. Results still come back in input order, and a
+/// panicking cell behaves as in [`parallel_map`].
 pub fn parallel_map_with<T, S, R, Init, F>(
     items: Vec<T>,
     max_threads: usize,
@@ -122,37 +46,39 @@ where
     Init: Fn(usize) -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    try_parallel_map_with(items, max_threads, init, f)
+    let n = items.len();
+    // `f` runs with neither lock held, so a panicking cell leaves both
+    // locks usable for the workers that keep draining the queue.
+    let queue = Mutex::new(items.into_iter().enumerate().collect::<Vec<_>>());
+    let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<R>>>());
+    std::thread::scope(|scope| {
+        let (init, f, queue, results) = (&init, &f, &queue, &results);
+        for worker in 0..max_threads.clamp(1, n.max(1)) {
+            scope.spawn(move || {
+                let mut state = init(worker);
+                loop {
+                    // Bind first: the guard must not live through `f`.
+                    let next = queue.lock().pop();
+                    let Some((idx, item)) = next else {
+                        break;
+                    };
+                    let result = f(&mut state, item);
+                    results.lock()[idx] = Some(result);
+                }
+            });
+        }
+    });
+    results
+        .into_inner()
         .into_iter()
-        .map(|result| match result {
-            Ok(r) => r,
-            Err(p) => panic!("parallel_map cell {} panicked: {}", p.index, p.message),
-        })
-        .collect()
-}
-
-/// Infallible wrapper over [`try_parallel_map`]: returns results in
-/// input order, and if any cell panicked, re-raises the first panic —
-/// but only after every sibling cell has finished, so no in-flight work
-/// is torn down mid-cell.
-pub fn parallel_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    try_parallel_map(items, max_threads, f)
-        .into_iter()
-        .map(|result| match result {
-            Ok(r) => r,
-            Err(p) => panic!("parallel_map cell {} panicked: {}", p.index, p.message),
-        })
+        .map(|r| r.expect("every cell ran: a panicking cell re-raises before this"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn preserves_input_order() {
@@ -179,38 +105,61 @@ mod tests {
         assert_eq!(results, vec![25]);
     }
 
+    /// `serve_cluster` with one router worker serves requests in the
+    /// order this visits cells, and `repro_cluster` builds its fleet
+    /// cost model from those responses: visiting cells first to last
+    /// changes 57 values of `results/cluster.json`.
     #[test]
-    fn panicking_cell_does_not_poison_siblings() {
-        let results = try_parallel_map((0..16).collect::<Vec<i32>>(), 4, |x| {
-            if x == 7 {
-                panic!("cell {x} exploded");
-            }
-            x * 10
-        });
-        assert_eq!(results.len(), 16);
-        for (i, result) in results.iter().enumerate() {
-            if i == 7 {
-                let err = result.as_ref().unwrap_err();
-                assert_eq!(err.index, 7);
-                assert!(err.message.contains("cell 7 exploded"));
-            } else {
-                assert_eq!(
-                    result.as_ref().unwrap(),
-                    &(i as i32 * 10),
-                    "sibling cell {i} must survive the panic in cell 7"
-                );
-            }
-        }
+    fn one_worker_visits_cells_last_to_first() {
+        let visited = parallel_map_with(
+            (0..6).collect::<Vec<u32>>(),
+            1,
+            |_| Vec::new(),
+            |seen: &mut Vec<u32>, x| {
+                seen.push(x);
+                seen.clone()
+            },
+        );
+        assert_eq!(visited[0], vec![5, 4, 3, 2, 1, 0]);
     }
 
     #[test]
     fn parallel_map_reraises_after_siblings_finish() {
+        use std::cell::RefCell;
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+
+        /// Sends once its thread has exited: thread-local destructors
+        /// run after the thread's closure has finished unwinding.
+        struct SignalOnExit(mpsc::Sender<()>);
+        impl Drop for SignalOnExit {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<SignalOnExit>> = const { RefCell::new(None) };
+        }
+
+        let (exited_tx, exited_rx) = mpsc::channel();
+        let exited_rx = Mutex::new(exited_rx);
         let completed = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
+            // Cell 7 is the first one taken, so its worker dies; cell 6
+            // is the survivor's first and waits until that worker has
+            // exited. The survivor must then still run cells 5..0
+            // before the panic re-raises.
             parallel_map((0..8).collect::<Vec<i32>>(), 2, |x| {
-                if x == 0 {
+                if x == 7 {
+                    let signal = SignalOnExit(exited_tx.clone());
+                    ON_EXIT.with(|slot| *slot.borrow_mut() = Some(signal));
                     panic!("boom");
+                }
+                if x == 6 {
+                    exited_rx
+                        .lock()
+                        .recv_timeout(std::time::Duration::from_secs(10))
+                        .expect("the panicking worker exits");
                 }
                 completed.fetch_add(1, Ordering::SeqCst);
                 x
@@ -247,32 +196,6 @@ mod tests {
             inits.load(Ordering::SeqCst) <= 4,
             "state must be built at most once per worker"
         );
-    }
-
-    #[test]
-    fn panicking_cell_rebuilds_worker_state() {
-        let results = try_parallel_map_with(
-            (0..8).collect::<Vec<i32>>(),
-            1,
-            |_| 0i32,
-            |state, x| {
-                *state += 1;
-                if x == 2 {
-                    panic!("cell 2 exploded");
-                }
-                *state
-            },
-        );
-        assert!(results[2].is_err());
-        let ok: Vec<i32> = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok().copied())
-            .collect();
-        assert_eq!(ok.len(), 7, "only the panicking cell is lost");
-        // After the panic the single worker's counter restarted from a
-        // fresh init, so the count value 1 appears twice: once at the
-        // very first cell and once right after the rebuild.
-        assert_eq!(ok.iter().filter(|&&v| v == 1).count(), 2);
     }
 
     #[test]

@@ -100,17 +100,6 @@ pub fn fmt2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Formats seconds adaptively (ms below 1s).
-pub fn fmt_secs(v: f64) -> String {
-    if v < 0.001 {
-        format!("{:.2}ms", v * 1000.0)
-    } else if v < 1.0 {
-        format!("{:.0}ms", v * 1000.0)
-    } else {
-        format!("{v:.1}s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +135,5 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt1(54.76), "54.8");
         assert_eq!(fmt2(0.456), "0.46");
-        assert_eq!(fmt_secs(2.5), "2.5s");
-        assert_eq!(fmt_secs(0.25), "250ms");
-        assert_eq!(fmt_secs(0.0001), "0.10ms");
     }
 }

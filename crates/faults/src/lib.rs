@@ -2,8 +2,8 @@
 //! pipeline.
 //!
 //! The crate is the single source of truth for *what goes wrong* in a
-//! chaos run: which sources are down, which records arrive corrupted or
-//! stale, and which simulated LLM calls fail or stall. Every decision
+//! chaos run: which sources are down, which records arrive corrupted,
+//! and which simulated LLM calls fail or stall. Every decision
 //! is a pure function of `(seed, key)` — no global state, no wall
 //! clock — so a fixed seed replays the exact same failure schedule,
 //! which is what lets the chaos harness assert bit-identical output
@@ -18,8 +18,8 @@ mod plan;
 mod retry;
 
 pub use corrupt::{bit_flip, corrupt_text, truncate, CorruptionKind};
-pub use plan::{FaultDecision, FaultKind, FaultPlan, SourceFaults};
-pub use retry::{ms_to_us, us_to_ms, BackoffSchedule, RetryOutcome, RetryPolicy};
+pub use plan::{FaultDecision, FaultKind, FaultPlan};
+pub use retry::{ms_to_us, us_to_ms, RetryOutcome, RetryPolicy};
 
 /// SplitMix64 finalizer — the primitive every seeded draw builds on.
 /// Mirrors `multirag_llmsim::determinism::mix` (duplicated here so the

@@ -10,8 +10,6 @@ pub enum FaultKind {
     SourceOutage,
     /// A record's payload is damaged (bit flips or truncation).
     RecordCorruption,
-    /// A record carries outdated data and should be distrusted.
-    StaleRecord,
     /// A simulated LLM call fails outright.
     LlmFailure,
     /// A simulated LLM call succeeds but takes a latency hit.
@@ -32,22 +30,6 @@ pub enum FaultDecision {
     Inject(FaultKind),
 }
 
-impl FaultDecision {
-    /// True when a fault fires.
-    pub fn is_fault(&self) -> bool {
-        matches!(self, FaultDecision::Inject(_))
-    }
-}
-
-/// Per-source fault summary, precomputed for reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SourceFaults {
-    /// The probed source name.
-    pub source: String,
-    /// Whether the source is down for the whole run.
-    pub outage: bool,
-}
-
 /// A deterministic, seeded schedule of faults.
 ///
 /// All rates are probabilities in `[0, 1]`. The plan holds no mutable
@@ -61,8 +43,6 @@ pub struct FaultPlan {
     pub outage_rate: f64,
     /// Probability that a given record arrives corrupted.
     pub corruption_rate: f64,
-    /// Probability that a given record is stale.
-    pub staleness_rate: f64,
     /// Probability that a given LLM call fails.
     pub llm_failure_rate: f64,
     /// Probability that a given LLM call takes a latency spike.
@@ -84,7 +64,6 @@ impl FaultPlan {
             seed,
             outage_rate: 0.0,
             corruption_rate: 0.0,
-            staleness_rate: 0.0,
             llm_failure_rate: 0.0,
             llm_latency_spike_rate: 0.0,
             grader_failure_rate: 0.0,
@@ -101,7 +80,6 @@ impl FaultPlan {
             seed,
             outage_rate: rate,
             corruption_rate: rate,
-            staleness_rate: rate,
             llm_failure_rate: rate,
             llm_latency_spike_rate: (2.0 * rate).min(1.0),
             grader_failure_rate: rate,
@@ -111,18 +89,17 @@ impl FaultPlan {
 
     /// A query-time-only brownout: LLM failures, latency spikes (at
     /// twice the base rate, like [`FaultPlan::uniform`]) and source
-    /// outages fire, while the ingest-time channels (corruption,
-    /// staleness) and the grader stay healthy. This is the serving-SLO
-    /// fault leg: the knowledge base is intact, but answering it is
-    /// degraded — abstains and latency spikes burn the error budget
-    /// without perturbing what was indexed.
+    /// outages fire, while the ingest-time corruption channel and the
+    /// grader stay healthy. This is the serving-SLO fault leg: the
+    /// knowledge base is intact, but answering it is degraded —
+    /// abstains and latency spikes burn the error budget without
+    /// perturbing what was indexed.
     pub fn brownout(seed: u64, rate: f64) -> Self {
         let rate = rate.clamp(0.0, 1.0);
         Self {
             seed,
             outage_rate: rate,
             corruption_rate: 0.0,
-            staleness_rate: 0.0,
             llm_failure_rate: rate,
             llm_latency_spike_rate: (2.0 * rate).min(1.0),
             grader_failure_rate: 0.0,
@@ -140,17 +117,6 @@ impl FaultPlan {
             node_outage_rate: rate.clamp(0.0, 1.0),
             ..Self::healthy(seed)
         }
-    }
-
-    /// True when no channel can ever fire.
-    pub fn is_healthy(&self) -> bool {
-        self.outage_rate <= 0.0
-            && self.corruption_rate <= 0.0
-            && self.staleness_rate <= 0.0
-            && self.llm_failure_rate <= 0.0
-            && self.llm_latency_spike_rate <= 0.0
-            && self.grader_failure_rate <= 0.0
-            && self.node_outage_rate <= 0.0
     }
 
     /// Is `source` down for this entire run?
@@ -172,15 +138,6 @@ impl FaultPlan {
         } else {
             CorruptionKind::Truncation
         })
-    }
-
-    /// Is the record stale (outdated value that should be distrusted)?
-    pub fn record_stale(&self, source: &str, record_key: &str) -> bool {
-        bernoulli(
-            self.seed,
-            &format!("stale:{source}:{record_key}"),
-            self.staleness_rate,
-        )
     }
 
     /// Probes one simulated LLM call attempt. `call_key` identifies the
@@ -230,20 +187,6 @@ impl FaultPlan {
     pub fn latency_spike_factor(&self, call_key: &str, attempt: u32) -> f64 {
         4.0 + 12.0 * unit(self.seed, &format!("llm:{call_key}:a{attempt}:mag"))
     }
-
-    /// Summarises the plan's verdict for each named source.
-    pub fn source_report<'a>(
-        &self,
-        sources: impl IntoIterator<Item = &'a str>,
-    ) -> Vec<SourceFaults> {
-        sources
-            .into_iter()
-            .map(|name| SourceFaults {
-                source: name.to_string(),
-                outage: self.source_down(name),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -253,12 +196,10 @@ mod tests {
     #[test]
     fn healthy_plan_never_fires() {
         let plan = FaultPlan::healthy(3);
-        assert!(plan.is_healthy());
         for i in 0..200 {
             let src = format!("s{i}");
             assert!(!plan.source_down(&src));
             assert!(plan.record_corruption(&src, "r").is_none());
-            assert!(!plan.record_stale(&src, "r"));
             assert_eq!(plan.llm_call(&src, 0), FaultDecision::Healthy);
         }
     }
@@ -356,21 +297,18 @@ mod tests {
     #[test]
     fn brownout_spares_ingest_and_grader_channels() {
         let plan = FaultPlan::brownout(31, 0.3);
-        assert!(!plan.is_healthy());
         assert_eq!(plan.corruption_rate, 0.0);
-        assert_eq!(plan.staleness_rate, 0.0);
         assert_eq!(plan.grader_failure_rate, 0.0);
         assert_eq!(plan.llm_failure_rate, 0.3);
         assert_eq!(plan.llm_latency_spike_rate, 0.6);
         for i in 0..200 {
             let src = format!("s{i}");
             assert!(plan.record_corruption(&src, "r").is_none());
-            assert!(!plan.record_stale(&src, "r"));
             assert_eq!(plan.grader_call(&src, 0), FaultDecision::Healthy);
         }
         // Query-time channels do fire at these rates.
         let fails = (0..400)
-            .filter(|i| plan.llm_call(&format!("c{i}"), 0).is_fault())
+            .filter(|i| plan.llm_call(&format!("c{i}"), 0) != FaultDecision::Healthy)
             .count();
         assert!(fails > 100, "brownout must degrade LLM calls: {fails}");
         assert_eq!(plan, FaultPlan::brownout(31, 0.3));
@@ -379,7 +317,6 @@ mod tests {
     #[test]
     fn node_outages_are_windowed_and_replayable() {
         let plan = FaultPlan::node_outages(41, 0.3);
-        assert!(!plan.is_healthy());
         // Every other channel stays quiet.
         for i in 0..100 {
             let src = format!("s{i}");
@@ -413,17 +350,6 @@ mod tests {
             for window in 0..64u64 {
                 assert!(!plan.node_outage(node, window));
             }
-        }
-    }
-
-    #[test]
-    fn source_report_matches_probe() {
-        let plan = FaultPlan::uniform(23, 0.4);
-        let names = ["alpha", "beta", "gamma"];
-        let report = plan.source_report(names);
-        assert_eq!(report.len(), 3);
-        for entry in &report {
-            assert_eq!(entry.outage, plan.source_down(&entry.source));
         }
     }
 }

@@ -24,23 +24,6 @@ pub fn us_to_ms(us: u64) -> f64 {
     us as f64 / 1_000.0
 }
 
-/// One resolved backoff schedule: the delay to wait before each retry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackoffSchedule {
-    /// `delays_ms[i]` is the wait before retry attempt `i + 1`.
-    pub delays_ms: Vec<f64>,
-}
-
-impl BackoffSchedule {
-    /// Total simulated backoff in integer microseconds. Summing the
-    /// quantized delays (rather than quantizing a float sum) keeps the
-    /// total consistent with what [`RetryPolicy::run`] charges per
-    /// attempt.
-    pub fn total_us(&self) -> u64 {
-        self.delays_ms.iter().map(|&d| ms_to_us(d)).sum()
-    }
-}
-
 /// How a retried call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryOutcome {
@@ -50,13 +33,6 @@ pub enum RetryOutcome {
     Exhausted { attempts: u32 },
     /// The deadline budget ran out before the attempts did.
     DeadlineExceeded { attempts: u32 },
-}
-
-impl RetryOutcome {
-    /// True for [`RetryOutcome::Succeeded`].
-    pub fn is_success(&self) -> bool {
-        matches!(self, RetryOutcome::Succeeded { .. })
-    }
 }
 
 /// Seeded exponential-backoff retry policy with a per-call deadline.
@@ -92,18 +68,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, no backoff).
-    pub fn no_retries() -> Self {
-        Self {
-            max_attempts: 1,
-            base_delay_ms: 0.0,
-            multiplier: 1.0,
-            max_delay_ms: 0.0,
-            jitter: 0.0,
-            deadline_ms: f64::INFINITY,
-        }
-    }
-
     /// Sets the deadline budget, builder-style.
     pub fn with_deadline_ms(mut self, deadline_ms: f64) -> Self {
         self.deadline_ms = deadline_ms;
@@ -121,17 +85,6 @@ impl RetryPolicy {
         let jitter = self.jitter.clamp(0.0, 1.0);
         let scale = 1.0 - jitter + 2.0 * jitter * unit(seed, &format!("backoff:{key}:a{attempt}"));
         capped * scale
-    }
-
-    /// Resolves the full schedule for a call that fails `failures`
-    /// times — what the latency meter charges for the retries.
-    pub fn schedule(&self, seed: u64, key: &str, failures: u32) -> BackoffSchedule {
-        let retries = failures.min(self.max_attempts.saturating_sub(1));
-        BackoffSchedule {
-            delays_ms: (1..=retries)
-                .map(|a| self.delay_before_attempt_ms(seed, key, a))
-                .collect(),
-        }
     }
 
     /// The deadline budget in integer microseconds; an infinite (or
@@ -291,17 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_totals_match_individual_delays() {
-        let p = RetryPolicy::default();
-        let sched = p.schedule(3, "call", 2);
-        assert_eq!(sched.delays_ms.len(), 2);
-        let expected: u64 = (1..=2)
-            .map(|a| ms_to_us(p.delay_before_attempt_ms(3, "call", a)))
-            .sum();
-        assert_eq!(sched.total_us(), expected);
-    }
-
-    #[test]
     fn microsecond_quantization_round_trips_exactly() {
         assert_eq!(ms_to_us(0.0), 0);
         assert_eq!(ms_to_us(-5.0), 0);
@@ -341,7 +283,10 @@ mod tests {
 
     #[test]
     fn no_retries_policy_is_single_shot() {
-        let p = RetryPolicy::no_retries();
+        let p = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         let mut calls = 0;
         let (outcome, _) = p.run(1, "k", |_| {
             calls += 1;

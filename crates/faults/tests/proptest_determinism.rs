@@ -62,7 +62,7 @@ proptest! {
     fn rate_endpoints_are_exact(seed in any::<u64>(), name in "[a-z]{1,10}") {
         prop_assert!(!FaultPlan::uniform(seed, 0.0).source_down(&name));
         prop_assert!(FaultPlan::uniform(seed, 1.0).source_down(&name));
-        prop_assert!(FaultPlan::healthy(seed).is_healthy());
+        prop_assert!(!FaultPlan::healthy(seed).source_down(&name));
     }
 
     /// The same plan replays the same corruption verdict for the same

@@ -677,21 +677,6 @@ impl FusionReport {
             );
         }
     }
-
-    /// The lenient skips as structured trace events, ready for a
-    /// [`multirag_obs::QueryTrace`] or direct observer recording.
-    pub fn trace_events(&self) -> Vec<multirag_obs::TraceEvent> {
-        self.diagnostics
-            .iter()
-            .map(|diag| multirag_obs::TraceEvent::LenientSkip {
-                source: diag.source.clone(),
-                detail: format!(
-                    "{}:{}:{}: {}",
-                    diag.error.format, diag.error.line, diag.error.column, diag.error.message
-                ),
-            })
-            .collect()
-    }
 }
 
 fn adapter_for(format: SourceFormat) -> Box<dyn Adapter> {
@@ -823,7 +808,7 @@ mod tests {
         assert_eq!(claim.entity, "Heat");
         assert_eq!(claim.attribute, "year");
         assert_eq!(claim.value, Value::Int(1995));
-        assert!(adapted.records[0].is_columnar());
+        assert!(adapted.records[0].cols_index.is_some());
     }
 
     #[test]
@@ -1045,15 +1030,9 @@ mod tests {
             snap.counter("ingest_claims_total") as usize,
             report.claim_count()
         );
-        let events = report.trace_events();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            multirag_obs::TraceEvent::LenientSkip { source, detail } => {
-                assert_eq!(source, "broken.csv");
-                assert!(detail.starts_with("csv:"), "positional detail: {detail}");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        assert_eq!(report.diagnostics.len(), 1);
+        assert_eq!(report.diagnostics[0].source, "broken.csv");
+        assert_eq!(report.diagnostics[0].error.format, "csv");
     }
 
     #[test]

@@ -39,16 +39,6 @@ pub struct Table {
 }
 
 impl Table {
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Index of a named column.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.headers.iter().position(|h| h == name)
@@ -391,7 +381,7 @@ mod tests {
     fn parses_simple_table() {
         let table = parse("name,year\nInception,2010\nHeat,1995\n").unwrap();
         assert_eq!(table.headers, vec!["name", "year"]);
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.rows.len(), 2);
         assert_eq!(table.cell(0, 0), Some(&Value::from("Inception")));
         assert_eq!(table.cell(1, 1), Some(&Value::Int(1995)));
     }
@@ -423,21 +413,21 @@ mod tests {
     #[test]
     fn embedded_newlines_in_quotes() {
         let table = parse("a,b\n\"line1\nline2\",x\n").unwrap();
-        assert_eq!(table.row_count(), 1);
+        assert_eq!(table.rows.len(), 1);
         assert_eq!(table.rows[0][0], Value::from("line1\nline2"));
     }
 
     #[test]
     fn crlf_line_endings() {
         let table = parse("a,b\r\n1,2\r\n3,4\r\n").unwrap();
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.rows.len(), 2);
         assert_eq!(table.rows[1][1], Value::Int(4));
     }
 
     #[test]
     fn missing_trailing_newline_is_fine() {
         let table = parse("a,b\n1,2").unwrap();
-        assert_eq!(table.row_count(), 1);
+        assert_eq!(table.rows.len(), 1);
     }
 
     #[test]
@@ -464,7 +454,7 @@ mod tests {
         };
         let table = parse_with("1,2\n3,4\n", options).unwrap();
         assert_eq!(table.headers, vec!["col0", "col1"]);
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]
@@ -495,7 +485,7 @@ mod tests {
     fn empty_input_is_empty_table() {
         let table = parse("").unwrap();
         assert!(table.headers.is_empty());
-        assert_eq!(table.row_count(), 0);
+        assert_eq!(table.rows.len(), 0);
     }
 
     #[test]
@@ -505,7 +495,7 @@ mod tests {
         assert_eq!(table.column_index("nope"), None);
         let years = table.column("year").unwrap();
         assert_eq!(years, vec![&Value::Int(1995)]);
-        assert_eq!(table.column_count(), 2);
+        assert_eq!(table.headers.len(), 2);
     }
 
     #[test]

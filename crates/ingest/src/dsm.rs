@@ -48,11 +48,6 @@ impl Column {
             .unwrap_or(&[])
     }
 
-    /// Number of distinct values in the column.
-    pub fn distinct_count(&self) -> usize {
-        self.inverted.len()
-    }
-
     /// Frequency of each distinct value (canonical key → count), the
     /// raw material for the MI-entropy confidence computations.
     pub fn value_frequencies(&self) -> Vec<(&str, usize)> {
@@ -97,20 +92,15 @@ impl ColumnStore {
         store
     }
 
-    fn add_column(&mut self, name: &str) -> usize {
-        if let Some(&idx) = self.lookup.get(name) {
-            return idx;
+    /// Columns are only added before the first row, so every column
+    /// starts empty and stays row-aligned.
+    fn add_column(&mut self, name: &str) {
+        if self.lookup.contains_key(name) {
+            return;
         }
-        let idx = self.columns.len();
+        self.lookup.insert(name.to_string(), self.columns.len());
         self.names.push(name.to_string());
-        self.lookup.insert(name.to_string(), idx);
-        let mut column = Column::default();
-        // Backfill nulls so all columns stay row-aligned.
-        for _ in 0..self.rows {
-            column.push(Value::Null);
-        }
-        self.columns.push(column);
-        idx
+        self.columns.push(Column::default());
     }
 
     /// Appends a row. Shorter rows are padded with `Null`; longer rows
@@ -129,30 +119,6 @@ impl ColumnStore {
         self.rows += 1;
     }
 
-    /// Appends a row given as `(attribute, value)` pairs; missing
-    /// attributes become `Null`, unknown attributes create new columns.
-    pub fn push_record(&mut self, fields: &[(&str, Value)]) {
-        for (name, _) in fields {
-            self.add_column(name);
-        }
-        let mut row = vec![Value::Null; self.columns.len()];
-        for (name, value) in fields {
-            let idx = self.lookup[*name];
-            row[idx] = value.clone();
-        }
-        self.push_row(row);
-    }
-
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Attribute names in column order — the `cols_index` of
     /// Definition 1.
     pub fn cols_index(&self) -> Vec<(String, usize)> {
@@ -168,11 +134,6 @@ impl ColumnStore {
         self.lookup.get(name).map(|&i| &self.columns[i])
     }
 
-    /// Column by position.
-    pub fn column_at(&self, index: usize) -> Option<&Column> {
-        self.columns.get(index)
-    }
-
     /// Cell accessor.
     pub fn cell(&self, row: usize, attribute: &str) -> Option<&Value> {
         self.column(attribute)?.get(row)
@@ -185,14 +146,6 @@ impl ColumnStore {
             return None;
         }
         self.columns.iter().map(|c| c.get(row)).collect()
-    }
-
-    /// Rows whose `attribute` equals `needle` — a single inverted-index
-    /// probe.
-    pub fn select(&self, attribute: &str, needle: &Value) -> Vec<u32> {
-        self.column(attribute)
-            .map(|c| c.rows_with(needle).to_vec())
-            .unwrap_or_default()
     }
 }
 
@@ -224,8 +177,8 @@ mod tests {
     #[test]
     fn columns_stay_row_aligned() {
         let store = sample();
-        assert_eq!(store.row_count(), 3);
-        assert_eq!(store.column_count(), 3);
+        assert_eq!(store.rows, 3);
+        assert_eq!(store.columns.len(), 3);
         let row = store.row(1).unwrap();
         assert_eq!(row[0], &Value::from("Inception"));
         assert_eq!(row[1], &Value::Int(2010));
@@ -234,22 +187,16 @@ mod tests {
     #[test]
     fn inverted_index_answers_point_queries() {
         let store = sample();
-        assert_eq!(store.select("director", &Value::from("Nolan")), vec![1, 2]);
-        assert_eq!(
-            store.select("director", &Value::from("Scott")),
-            Vec::<u32>::new()
-        );
-        assert_eq!(
-            store.select("missing_attr", &Value::Null),
-            Vec::<u32>::new()
-        );
+        let directors = store.column("director").unwrap();
+        assert_eq!(directors.rows_with(&Value::from("Nolan")), [1, 2]);
+        assert!(directors.rows_with(&Value::from("Scott")).is_empty());
+        assert!(store.column("missing_attr").is_none());
     }
 
     #[test]
     fn distinct_counts_and_frequencies() {
         let store = sample();
         let directors = store.column("director").unwrap();
-        assert_eq!(directors.distinct_count(), 2);
         let freqs = directors.value_frequencies();
         assert_eq!(freqs[0].1, 2); // Nolan twice
         assert_eq!(freqs[1].1, 1);
@@ -270,17 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn push_record_grows_schema() {
-        let mut store = ColumnStore::new(&["a"]);
-        store.push_record(&[("a", Value::Int(1))]);
-        store.push_record(&[("b", Value::Int(2))]);
-        assert_eq!(store.column_count(), 2);
-        assert_eq!(store.cell(0, "b"), Some(&Value::Null));
-        assert_eq!(store.cell(1, "a"), Some(&Value::Null));
-        assert_eq!(store.cell(1, "b"), Some(&Value::Int(2)));
-    }
-
-    #[test]
     fn cols_index_matches_definition_1() {
         let store = sample();
         let idx = store.cols_index();
@@ -292,20 +228,9 @@ mod tests {
     fn from_table_imports_csv() {
         let table = csv::parse("title,year\nHeat,1995\nTenet,2020\n").unwrap();
         let store = ColumnStore::from_table(&table);
-        assert_eq!(store.row_count(), 2);
-        assert_eq!(store.select("year", &Value::Int(2020)), vec![1]);
-    }
-
-    #[test]
-    fn late_columns_backfill_existing_rows() {
-        let mut store = ColumnStore::new(&["a"]);
-        store.push_row(vec![Value::Int(1)]);
-        store.push_record(&[("a", Value::Int(2)), ("late", Value::from("x"))]);
-        // Row 0 must have a Null in the late column.
-        assert_eq!(store.cell(0, "late"), Some(&Value::Null));
-        assert_eq!(store.cell(1, "late"), Some(&Value::from("x")));
-        // And the inverted index must know about the backfilled null.
-        assert_eq!(store.select("late", &Value::Null), vec![0]);
+        assert_eq!(store.rows, 2);
+        let years = store.column("year").unwrap();
+        assert_eq!(years.rows_with(&Value::Int(2020)), [1]);
     }
 
     #[test]
@@ -314,6 +239,7 @@ mod tests {
         store.push_row(vec![Value::Int(10)]);
         store.push_row(vec![Value::Float(10.0)]);
         // Canonical keys unify 10 and 10.0.
-        assert_eq!(store.select("price", &Value::Int(10)), vec![0, 1]);
+        let prices = store.column("price").unwrap();
+        assert_eq!(prices.rows_with(&Value::Int(10)), [0, 1]);
     }
 }

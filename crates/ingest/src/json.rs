@@ -71,14 +71,6 @@ impl JsonValue {
         }
     }
 
-    /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -159,13 +151,6 @@ pub fn to_string(value: &JsonValue) -> String {
     out
 }
 
-/// Serializes with two-space indentation, for human-facing output.
-pub fn to_string_pretty(value: &JsonValue) -> String {
-    let mut out = String::new();
-    write_pretty(value, 0, &mut out);
-    out
-}
-
 fn write_value(value: &JsonValue, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
@@ -196,45 +181,6 @@ fn write_value(value: &JsonValue, out: &mut String) {
             }
             out.push('}');
         }
-    }
-}
-
-fn write_pretty(value: &JsonValue, indent: usize, out: &mut String) {
-    let pad = |n: usize, out: &mut String| {
-        for _ in 0..n {
-            out.push_str("  ");
-        }
-    };
-    match value {
-        JsonValue::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                pad(indent + 1, out);
-                write_pretty(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            pad(indent, out);
-            out.push(']');
-        }
-        JsonValue::Object(members) if !members.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in members.iter().enumerate() {
-                pad(indent + 1, out);
-                write_escaped(k, out);
-                out.push_str(": ");
-                write_pretty(v, indent + 1, out);
-                if i + 1 < members.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            pad(indent, out);
-            out.push('}');
-        }
-        other => write_value(other, out),
     }
 }
 
@@ -698,14 +644,6 @@ mod tests {
         let text = to_string(&doc);
         assert_eq!(text, "3.0");
         assert_eq!(parse(&text).unwrap(), JsonValue::Float(3.0));
-    }
-
-    #[test]
-    fn pretty_printer_emits_valid_json() {
-        let doc = parse(r#"{"a":[1,2],"b":{"c":"d"},"e":[]}"#).unwrap();
-        let pretty = to_string_pretty(&doc);
-        assert!(pretty.contains('\n'));
-        assert_eq!(parse(&pretty).unwrap(), doc);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! as JSON-LD linked data, file metadata, and (for columnar formats) the
 //! column index that enables DSM-style fast attribute access.
 
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
 use multirag_kg::{FxHashMap, Value};
 
 /// The JSON-LD `@context` we stamp on normalized documents.
@@ -72,15 +72,6 @@ impl NormalizedRecord {
         }
     }
 
-    /// The JSON-LD `@id` IRI of the record. `new` always stamps an
-    /// `@id`, so this is only empty for hand-built envelopes.
-    pub fn iri(&self) -> &str {
-        self.jsc
-            .get("@id")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-    }
-
     /// Fetches a content attribute. `@`-keywords are envelope fields,
     /// not content, and return `None`; read them via `jsc.get` directly.
     pub fn attribute(&self, key: &str) -> Option<&JsonValue> {
@@ -110,25 +101,6 @@ impl NormalizedRecord {
         }
         out
     }
-
-    /// Serializes the record to JSON-LD text.
-    pub fn to_jsonld_string(&self) -> String {
-        json::to_string(&self.jsc)
-    }
-
-    /// Whether the record supports columnar (DSM) access.
-    pub fn is_columnar(&self) -> bool {
-        self.cols_index.is_some()
-    }
-
-    /// Column position of `attribute` if the record is columnar.
-    pub fn column_of(&self, attribute: &str) -> Option<usize> {
-        self.cols_index
-            .as_ref()?
-            .iter()
-            .find(|(name, _)| name == attribute)
-            .map(|(_, idx)| *idx)
-    }
 }
 
 fn flatten_into(path: &str, value: &JsonValue, out: &mut Vec<(String, Value)>) {
@@ -156,32 +128,6 @@ fn flatten_into(path: &str, value: &JsonValue, out: &mut Vec<(String, Value)>) {
     }
 }
 
-/// Assigns sequential ids to a batch of contents, producing records with
-/// shared domain/meta. This is the bulk entry point the adapters use.
-pub fn normalize_batch(
-    start_id: u64,
-    domain: &str,
-    name: &str,
-    contents: Vec<JsonValue>,
-    meta: &FxHashMap<String, String>,
-    cols_index: Option<Vec<(String, usize)>>,
-) -> Vec<NormalizedRecord> {
-    contents
-        .into_iter()
-        .enumerate()
-        .map(|(i, content)| {
-            NormalizedRecord::new(
-                start_id + i as u64,
-                domain,
-                name,
-                content,
-                meta.clone(),
-                cols_index.clone(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +143,10 @@ mod tests {
     fn wraps_objects_in_jsonld_envelope() {
         let content = parse(r#"{"status": "delayed", "gate": "C12"}"#).unwrap();
         let rec = NormalizedRecord::new(7, "flights", "feed-a", content, meta(), None);
-        assert_eq!(rec.iri(), "urn:multirag:flights:feed-a:7");
+        assert_eq!(
+            rec.jsc.get("@id").unwrap().as_str(),
+            Some("urn:multirag:flights:feed-a:7")
+        );
         assert_eq!(
             rec.jsc.get("@context").unwrap().as_str(),
             Some(DEFAULT_CONTEXT)
@@ -217,7 +166,10 @@ mod tests {
         let content = parse(r#"{"@id": "urn:other", "a": 1}"#).unwrap();
         let rec = NormalizedRecord::new(2, "d", "n", content, meta(), None);
         // Our envelope @id wins; the embedded one is dropped.
-        assert_eq!(rec.iri(), "urn:multirag:d:n:2");
+        assert_eq!(
+            rec.jsc.get("@id").unwrap().as_str(),
+            Some("urn:multirag:d:n:2")
+        );
         let ids: Vec<_> = rec
             .jsc
             .as_object()
@@ -255,39 +207,5 @@ mod tests {
         assert_eq!(flat.len(), 1);
         assert_eq!(flat[0].0, "directors");
         assert_eq!(flat[0].1.as_list().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn columnar_records_expose_column_lookup() {
-        let cols = vec![("title".to_string(), 0), ("year".to_string(), 1)];
-        let rec = NormalizedRecord::new(
-            6,
-            "movies",
-            "table.csv",
-            JsonValue::Object(vec![]),
-            meta(),
-            Some(cols),
-        );
-        assert!(rec.is_columnar());
-        assert_eq!(rec.column_of("year"), Some(1));
-        assert_eq!(rec.column_of("nope"), None);
-    }
-
-    #[test]
-    fn jsonld_text_is_valid_json() {
-        let content = parse(r#"{"a": [1, 2]}"#).unwrap();
-        let rec = NormalizedRecord::new(8, "d", "n", content, meta(), None);
-        let text = rec.to_jsonld_string();
-        let reparsed = parse(&text).unwrap();
-        assert_eq!(reparsed.get("a").unwrap().as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn normalize_batch_assigns_sequential_ids() {
-        let contents = vec![JsonValue::Int(1), JsonValue::Int(2), JsonValue::Int(3)];
-        let records = normalize_batch(100, "d", "n", contents, &meta(), None);
-        let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![100, 101, 102]);
-        assert!(records.iter().all(|r| r.meta.contains_key("format")));
     }
 }

@@ -46,17 +46,6 @@ impl XmlElement {
         })
     }
 
-    /// All child elements with the given tag name.
-    pub fn children_named(&self, name: &str) -> Vec<&XmlElement> {
-        self.children
-            .iter()
-            .filter_map(|node| match node {
-                XmlNode::Element(e) if e.name == name => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All child elements.
     pub fn child_elements(&self) -> Vec<&XmlElement> {
         self.children
@@ -77,21 +66,6 @@ impl XmlElement {
                 out.push_str(t);
             }
         }
-        out.trim().to_string()
-    }
-
-    /// Recursively concatenated text (depth-first).
-    pub fn deep_text(&self) -> String {
-        let mut out = String::new();
-        fn walk(e: &XmlElement, out: &mut String) {
-            for node in &e.children {
-                match node {
-                    XmlNode::Text(t) => out.push_str(t),
-                    XmlNode::Element(c) => walk(c, out),
-                }
-            }
-        }
-        walk(self, &mut out);
         out.trim().to_string()
     }
 
@@ -552,17 +526,10 @@ mod tests {
         let doc = "<books><book><author>A</author><author>B</author></book></books>";
         let root = parse(doc).unwrap();
         let book = root.child("book").unwrap();
-        let authors = book.children_named("author");
+        let authors = book.child_elements();
         assert_eq!(authors.len(), 2);
         assert_eq!(authors[1].text(), "B");
         assert_eq!(root.descendant_count(), 3);
-    }
-
-    #[test]
-    fn deep_text_concatenates_descendants() {
-        let root = parse("<r>a<m>b<i>c</i></m>d</r>").unwrap();
-        assert_eq!(root.deep_text(), "abcd");
-        assert_eq!(root.text(), "ad");
     }
 
     #[test]

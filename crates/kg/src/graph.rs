@@ -7,7 +7,7 @@
 
 use crate::hash::FxHashMap;
 use crate::intern::{Interner, Symbol};
-use crate::triple::{EntityId, Object, RelationId, SourceId, Triple, TripleNames};
+use crate::triple::{EntityId, Object, RelationId, SourceId, Triple};
 use crate::value::Value;
 
 /// Identifier of a triple within its graph — also the node id of the
@@ -321,17 +321,6 @@ impl KnowledgeGraph {
             .unwrap_or(&[])
     }
 
-    /// All triples touching `e` as subject or object.
-    pub fn touching(&self, e: EntityId) -> Vec<TripleId> {
-        let mut out: Vec<TripleId> =
-            Vec::with_capacity(self.outgoing(e).len() + self.incoming(e).len());
-        out.extend_from_slice(self.outgoing(e));
-        out.extend_from_slice(self.incoming(e));
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Entity neighbours of `e` via edge triples (both directions).
     pub fn neighbors(&self, e: EntityId) -> Vec<EntityId> {
         let mut out = Vec::new();
@@ -354,20 +343,6 @@ impl KnowledgeGraph {
             .iter()
             .filter_map(|&tid| self.triples[tid.index()].object.as_literal())
             .collect()
-    }
-
-    /// Human-readable rendering of a triple.
-    pub fn triple_names(&self, id: TripleId) -> TripleNames {
-        let t = self.triple(id);
-        let object = match &t.object {
-            Object::Entity(e) => self.entity_name(*e).to_string(),
-            Object::Literal(v) => v.to_string(),
-        };
-        TripleNames {
-            subject: self.entity_name(t.subject).to_string(),
-            predicate: self.relation_name(t.predicate).to_string(),
-            object,
-        }
     }
 
     /// Aggregate statistics (Table I backing data).
@@ -510,15 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn touching_merges_both_directions() {
-        let kg = sample_graph();
-        let beijing = kg.find_entity("Beijing", "flights").unwrap();
-        assert_eq!(kg.touching(beijing).len(), 1);
-        let ca981 = kg.find_entity("CA981", "flights").unwrap();
-        assert_eq!(kg.touching(ca981).len(), 3);
-    }
-
-    #[test]
     fn stats_count_edges_and_degree() {
         let kg = sample_graph();
         let stats = kg.stats();
@@ -528,17 +494,6 @@ mod tests {
         assert_eq!(stats.sources, 2);
         assert_eq!(stats.edges, 1);
         assert!((stats.mean_degree - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn triple_names_render_human_readable() {
-        let kg = sample_graph();
-        let names = kg.triple_names(TripleId(0));
-        assert_eq!(names.subject, "CA981");
-        assert_eq!(names.predicate, "departs_from");
-        assert_eq!(names.object, "Beijing");
-        let names = kg.triple_names(TripleId(1));
-        assert_eq!(names.object, "delayed");
     }
 
     #[test]

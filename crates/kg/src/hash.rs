@@ -92,41 +92,37 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Hash a single `u64` value with the Fx construction.
-///
-/// Useful for deterministic pseudo-random decisions keyed on ids
-/// (e.g. simulated-LLM noise draws) without constructing an RNG.
-#[inline]
-pub fn hash_u64(value: u64) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write_u64(value);
-    hasher.finish()
-}
-
-/// Hash arbitrary bytes with the Fx construction.
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write(bytes);
-    hasher.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // Both helpers drive the `Hasher` methods directly, as `write_str`
+    // does for `String` keys: no length prefix reaches `write`, so the
+    // tail handling alone must keep inputs apart.
+    fn fx(bytes: &[u8]) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(bytes);
+        hasher.finish()
+    }
+
+    fn fx_u64(value: u64) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(value);
+        hasher.finish()
+    }
+
     #[test]
     fn identical_inputs_hash_identically() {
-        assert_eq!(hash_bytes(b"multirag"), hash_bytes(b"multirag"));
-        assert_eq!(hash_u64(42), hash_u64(42));
+        assert_eq!(fx(b"multirag"), fx(b"multirag"));
+        assert_eq!(fx_u64(42), fx_u64(42));
     }
 
     #[test]
     fn different_inputs_hash_differently() {
         // Not a guarantee in general, but these must differ for the
         // hasher to be useful at all.
-        assert_ne!(hash_bytes(b"movies"), hash_bytes(b"books"));
-        assert_ne!(hash_u64(1), hash_u64(2));
+        assert_ne!(fx(b"movies"), fx(b"books"));
+        assert_ne!(fx_u64(1), fx_u64(2));
     }
 
     #[test]
@@ -144,7 +140,7 @@ mod tests {
             b"abcdefgh",
             b"abcdefghi",
         ];
-        let hashes: Vec<u64> = inputs.iter().map(|b| hash_bytes(b)).collect();
+        let hashes: Vec<u64> = inputs.iter().map(|b| fx(b)).collect();
         for i in 0..hashes.len() {
             for j in (i + 1)..hashes.len() {
                 assert_ne!(hashes[i], hashes[j], "inputs {i} and {j} collided");

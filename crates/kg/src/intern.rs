@@ -95,11 +95,6 @@ impl Interner {
         &self.strings[sym.index()]
     }
 
-    /// Resolves a symbol, returning `None` for foreign symbols.
-    pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.strings.get(sym.index()).map(|s| &**s)
-    }
-
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -346,12 +341,6 @@ mod tests {
         assert_eq!(interner.len(), 0);
         let s = interner.intern("present");
         assert_eq!(interner.get("present"), Some(s));
-    }
-
-    #[test]
-    fn try_resolve_rejects_foreign_symbols() {
-        let interner = Interner::new();
-        assert_eq!(interner.try_resolve(Symbol(99)), None);
     }
 
     #[test]

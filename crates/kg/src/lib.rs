@@ -23,8 +23,6 @@
 //! * [`linegraph`] — the line-graph transform of Definition 2 in the
 //!   paper: triple-as-node graphs ([`LineGraph`]) in which two nodes are
 //!   adjacent iff their triples share an endpoint.
-//! * [`algo`] — graph traversals (BFS / DFS), connected components and
-//!   degree statistics used by the homologous-subgraph matcher.
 //! * [`persist`] — a line-oriented dump/load format so aggregated
 //!   graphs can be snapshotted and reloaded without re-ingestion.
 //! * [`tindex`] — the hierarchical tiered index, the one slot
@@ -35,7 +33,6 @@
 //!
 //! The crate has no dependencies and is fully deterministic.
 
-pub mod algo;
 pub mod cache;
 pub mod graph;
 pub mod hash;

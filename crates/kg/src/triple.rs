@@ -6,7 +6,6 @@
 //! within that source — the provenance the confidence machinery needs to
 //! weight claims by source credibility (Eq. 11 of the paper).
 
-use crate::intern::Symbol;
 use crate::value::Value;
 use std::fmt;
 
@@ -172,28 +171,6 @@ impl Triple {
     pub fn slot(&self) -> (EntityId, RelationId) {
         (self.subject, self.predicate)
     }
-}
-
-/// Human-readable names backing the ids of a graph (resolved through the
-/// graph's interner).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TripleNames {
-    /// Subject entity name.
-    pub subject: String,
-    /// Predicate name.
-    pub predicate: String,
-    /// Object rendering.
-    pub object: String,
-}
-
-/// Marker trait-free helper: a symbol pair naming an entity with its
-/// domain (e.g. `("CA981", "flights")`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EntityKey {
-    /// Interned entity name.
-    pub name: Symbol,
-    /// Interned domain the entity belongs to.
-    pub domain: Symbol,
 }
 
 #[cfg(test)]

@@ -123,14 +123,6 @@ impl Value {
         }
     }
 
-    /// Boolean view of the value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// List view of the value.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
@@ -449,12 +441,10 @@ mod tests {
 
     #[test]
     fn accessors_return_expected_variants() {
-        assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(5i64).as_i64(), Some(5));
         assert_eq!(Value::from(5i64).as_f64(), Some(5.0));
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert!(Value::Null.is_null());
-        assert!(Value::from("x").as_bool().is_none());
         let list = Value::from(vec![1i64, 2]);
         assert_eq!(list.as_list().unwrap().len(), 2);
     }

@@ -1,6 +1,6 @@
 //! Property-based tests over the kg substrate invariants.
 
-use multirag_kg::{algo, KnowledgeGraph, LineGraph, Value};
+use multirag_kg::{KnowledgeGraph, LineGraph, Value};
 use proptest::prelude::*;
 
 /// A compact random-graph description: `n` entities, edges as index
@@ -70,42 +70,6 @@ proptest! {
                 prop_assert!(lg.adjacent(b, a));
             }
         }
-    }
-
-    /// Connected components partition the entity set.
-    #[test]
-    fn components_partition_entities(spec in graph_spec()) {
-        let kg = build(&spec);
-        let comps = algo::connected_components(&kg);
-        let total: usize = comps.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, kg.entity_count());
-        let mut seen = std::collections::HashSet::new();
-        for comp in &comps {
-            for e in comp {
-                prop_assert!(seen.insert(*e), "entity appears in two components");
-            }
-        }
-    }
-
-    /// BFS and DFS from the same start visit the same vertex set.
-    #[test]
-    fn bfs_and_dfs_agree_on_reachability(spec in graph_spec()) {
-        let kg = build(&spec);
-        let start = multirag_kg::EntityId(0);
-        let mut bfs_set = algo::bfs(&kg, start, None);
-        let mut dfs_set = algo::dfs(&kg, start);
-        bfs_set.sort_unstable();
-        dfs_set.sort_unstable();
-        prop_assert_eq!(bfs_set, dfs_set);
-    }
-
-    /// Distances are symmetric over the undirected view.
-    #[test]
-    fn distance_is_symmetric(spec in graph_spec()) {
-        let kg = build(&spec);
-        let a = multirag_kg::EntityId(0);
-        let b = multirag_kg::EntityId((spec.n - 1) as u32);
-        prop_assert_eq!(algo::distance(&kg, a, b), algo::distance(&kg, b, a));
     }
 
     /// Slot index returns exactly the triples matching that slot.

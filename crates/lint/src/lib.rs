@@ -104,14 +104,6 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceAnalysis {
     analyze_sources(&walk::workspace_sources(root))
 }
 
-/// Lints every discovered workspace source under `root`. Returns the
-/// number of files scanned and the sorted union of findings
-/// (including interprocedural T01 chains).
-pub fn lint_workspace(root: &Path) -> (usize, Vec<Finding>) {
-    let analysis = analyze_workspace(root);
-    (analysis.files_scanned, analysis.findings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +125,10 @@ mod tests {
     #[test]
     fn lint_workspace_is_deterministic() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let (files_a, a) = lint_workspace(&root);
-        let (files_b, b) = lint_workspace(&root);
-        assert_eq!(files_a, files_b);
-        assert_eq!(a, b);
-        assert!(files_a > 20, "should scan the whole workspace");
+        let a = analyze_workspace(&root);
+        let b = analyze_workspace(&root);
+        assert_eq!(a.files_scanned, b.files_scanned);
+        assert_eq!(a.findings, b.findings);
+        assert!(a.files_scanned > 20, "should scan the whole workspace");
     }
 }

@@ -27,8 +27,6 @@ use crate::walk::FileKind;
 pub const FANOUT_FNS: &[&str] = &[
     "parallel_map",
     "parallel_map_with",
-    "try_parallel_map",
-    "try_parallel_map_with",
     "run_loop_sweep",
     "cluster_closed_loop",
 ];

@@ -112,7 +112,7 @@ impl LlmUsage {
 #[derive(Debug, Clone)]
 pub struct MockLlm {
     seed: u64,
-    /// Shared by every clone; [`MockLlm::schema_mut`] copies on write.
+    /// Shared by every clone.
     schema: Arc<Schema>,
     cost: CostModel,
     halluc: HallucinationParams,
@@ -138,12 +138,6 @@ impl MockLlm {
             retry: RetryPolicy::default(),
             cache: None,
         }
-    }
-
-    /// Overrides the latency model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Overrides the hallucination parameters.
@@ -184,11 +178,6 @@ impl MockLlm {
         self
     }
 
-    /// The attached response cache, if any.
-    pub fn response_cache(&self) -> Option<&LlmResponseCache> {
-        self.cache.as_ref()
-    }
-
     /// Looks `key` up in the response cache; `None` without a cache.
     fn cached(&self, key: Option<u64>) -> Option<CachedResponse> {
         self.cache.as_ref()?.get(key?)
@@ -206,21 +195,9 @@ impl MockLlm {
         self.faults.as_ref()
     }
 
-    /// The retry policy applied to faulted calls.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The schema the client extracts against.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Mutable access to the schema (e.g. to grow the gazetteer as
-    /// entities are discovered). Copies the schema first if another
-    /// client shares it.
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        Arc::make_mut(&mut self.schema)
     }
 
     /// The seed (for deriving per-query sub-keys).
@@ -236,11 +213,6 @@ impl MockLlm {
     /// Resets the usage meter (between experiment phases).
     pub fn reset_usage(&mut self) {
         self.usage = LlmUsage::default();
-    }
-
-    /// Current hallucination parameters.
-    pub fn hallucination_params(&self) -> HallucinationParams {
-        self.halluc
     }
 
     fn meter(&mut self, input_text_tokens: usize, output_tokens: usize) {
@@ -357,13 +329,6 @@ impl MockLlm {
         lf
     }
 
-    /// Expert authority assessment of one node (`C_LLM(v)`).
-    pub fn score_authority(&mut self, node_key: &str, features: &AuthorityFeatures) -> f64 {
-        let c = c_llm(features, &self.authority_weights, self.seed, node_key);
-        self.meter(96, 4);
-        c
-    }
-
     /// Eq. 10 squashing, exposed for the confidence module.
     pub fn squash_authority(&self, c: f64, c_mean: f64, beta: f64) -> f64 {
         auth_llm(c, c_mean, beta)
@@ -406,28 +371,6 @@ impl MockLlm {
     // With no fault plan configured they are bit-identical to the
     // infallible calls above.
 
-    /// Fallible [`MockLlm::extract_entities`].
-    pub fn try_extract_entities(
-        &mut self,
-        call_key: &str,
-        text: &str,
-    ) -> Result<Vec<Mention>, LlmError> {
-        let mentions = extract_entities(text, &self.schema);
-        self.meter_guarded(call_key, raw_tokens(text).len() + 64, mentions.len() * 6)?;
-        Ok(mentions)
-    }
-
-    /// Fallible [`MockLlm::extract_triples`].
-    pub fn try_extract_triples(
-        &mut self,
-        call_key: &str,
-        text: &str,
-    ) -> Result<Vec<ExtractedTriple>, LlmError> {
-        let triples = extract_triples(text, &self.schema);
-        self.meter_guarded(call_key, raw_tokens(text).len() + 96, triples.len() * 12)?;
-        Ok(triples)
-    }
-
     /// Fallible [`MockLlm::logic_form`].
     pub fn try_logic_form(
         &mut self,
@@ -450,7 +393,8 @@ impl MockLlm {
         Ok(lf)
     }
 
-    /// Fallible [`MockLlm::score_authority`].
+    /// Expert authority assessment of one node (`C_LLM(v)`), subject
+    /// to the fault plan.
     pub fn try_score_authority(
         &mut self,
         node_key: &str,
@@ -620,12 +564,12 @@ mod tests {
 
     #[test]
     fn cost_model_scales_latency() {
-        let cheap = CostModel {
+        let mut fast = MockLlm::new(schema(), 1);
+        fast.cost = CostModel {
             base_ms: 1.0,
             ms_per_input_token: 0.0,
             ms_per_output_token: 0.0,
         };
-        let mut fast = MockLlm::new(schema(), 1).with_cost_model(cheap);
         let mut slow = MockLlm::new(schema(), 1);
         fast.reason(1000, 100);
         slow.reason(1000, 100);
@@ -694,25 +638,20 @@ mod tests {
     }
 
     #[test]
-    fn schema_mut_grows_gazetteer() {
-        let mut llm = MockLlm::new(Schema::new(), 3);
-        assert!(
-            llm.schema().resolve_entity("newentity").is_none(),
-            "empty schema knows nothing"
-        );
-        llm.schema_mut().add_entity_verbatim("NewEntity");
-        assert_eq!(llm.schema().resolve_entity("newentity"), Some("NewEntity"));
-    }
-
-    #[test]
     fn healthy_fault_plan_is_bitwise_identical_to_no_plan() {
         let run = |plan: Option<FaultPlan>| {
             let mut llm = MockLlm::new(schema(), 42);
             if let Some(p) = plan {
                 llm = llm.with_fault_plan(p);
             }
-            llm.try_extract_triples("t1", "The status of CA981 is delayed.")
-                .unwrap();
+            let features = AuthorityFeatures {
+                degree: 3,
+                max_degree: 10,
+                type_consistency: 0.8,
+                path_support: 0.5,
+                source_reputation: 0.6,
+            };
+            llm.try_score_authority("n1", &features).unwrap();
             llm.try_logic_form("q1", "What is the status of CA981?")
                 .unwrap();
             llm.usage()
@@ -801,8 +740,7 @@ mod tests {
                 .with_fault_plan(FaultPlan::uniform(21, 0.3))
                 .with_retry_policy(RetryPolicy::default());
             for i in 0..20 {
-                let _ =
-                    llm.try_extract_triples(&format!("t{i}"), "The status of CA981 is delayed.");
+                let _ = llm.try_logic_form(&format!("t{i}"), "What is the status of CA981?");
                 let features = AuthorityFeatures {
                     degree: 3,
                     max_degree: 10,
@@ -884,7 +822,9 @@ mod tests {
         // A schema change re-namespaces logic-form entries.
         llm.try_logic_form("q2", "What is the status of CA981?")
             .unwrap();
-        llm.schema_mut().add_relation("gate");
+        let mut grown = schema();
+        grown.add_relation("gate");
+        let mut llm = MockLlm::new(grown, 5).with_response_cache(cache.clone());
         llm.try_logic_form("q2", "What is the status of CA981?")
             .unwrap();
         assert_eq!(cache.hits(), 0, "schema changed, no hit");

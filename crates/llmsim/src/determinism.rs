@@ -25,15 +25,6 @@ pub fn draw(seed: u64, key: &str) -> u64 {
     mix(h)
 }
 
-/// Combines a seed with numeric keys into a single draw.
-pub fn draw_n(seed: u64, keys: &[u64]) -> u64 {
-    let mut h = seed ^ 0x2545_f491_4f6c_dd1d;
-    for &k in keys {
-        h = mix(h ^ k);
-    }
-    mix(h)
-}
-
 /// A uniform `f64` in `[0, 1)` from a draw.
 #[inline]
 pub fn unit(raw: u64) -> f64 {
@@ -69,14 +60,12 @@ mod tests {
     #[test]
     fn draws_are_deterministic() {
         assert_eq!(draw(42, "query-1"), draw(42, "query-1"));
-        assert_eq!(draw_n(42, &[1, 2, 3]), draw_n(42, &[1, 2, 3]));
     }
 
     #[test]
     fn different_keys_give_different_draws() {
         assert_ne!(draw(42, "a"), draw(42, "b"));
         assert_ne!(draw(42, "a"), draw(43, "a"));
-        assert_ne!(draw_n(1, &[1, 2]), draw_n(1, &[2, 1]));
     }
 
     #[test]

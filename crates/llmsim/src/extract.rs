@@ -248,16 +248,6 @@ fn standardize_scalar(text: &str) -> Value {
     Value::Str(collapsed)
 }
 
-/// Standardizes an entity mention for graph insertion: collapses
-/// whitespace and resolves through the schema gazetteer when possible.
-pub fn standardize_entity(raw: &str, schema: &Schema) -> String {
-    let collapsed: String = raw.split_whitespace().collect::<Vec<_>>().join(" ");
-    schema
-        .resolve_entity(&collapsed)
-        .map(str::to_string)
-        .unwrap_or(collapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,13 +342,6 @@ mod tests {
             standardize_value("  two   words  "),
             Value::from("two words")
         );
-    }
-
-    #[test]
-    fn standardize_entity_resolves_gazetteer() {
-        let s = schema();
-        assert_eq!(standardize_entity("  ca981 ", &s), "CA981");
-        assert_eq!(standardize_entity("Novel  Name", &s), "Novel Name");
     }
 
     #[test]

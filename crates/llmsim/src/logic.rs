@@ -34,11 +34,6 @@ impl LogicForm {
     pub fn target_relation(&self) -> &str {
         self.relations.last().expect("logic forms have ≥1 relation")
     }
-
-    /// Number of hops.
-    pub fn hops(&self) -> usize {
-        self.relations.len()
-    }
 }
 
 /// Parses `query` into a logic form, resolving entities and relations
@@ -120,7 +115,7 @@ mod tests {
     fn parses_what_is_the_attr_of_ent() {
         let lf = generate_logic_form("What is the status of CA981?", &schema()).unwrap();
         assert_eq!(lf, LogicForm::single("CA981", "status"));
-        assert_eq!(lf.hops(), 1);
+        assert_eq!(lf.relations.len(), 1);
     }
 
     #[test]
@@ -146,7 +141,7 @@ mod tests {
             vec!["sequel".to_string(), "director".to_string()]
         );
         assert_eq!(lf.target_relation(), "director");
-        assert_eq!(lf.hops(), 2);
+        assert_eq!(lf.relations.len(), 2);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct Schema {
     /// Natural-language alias → relation name ("directed by" →
     /// "director").
     relation_aliases: FxHashMap<String, String>,
-    /// Declared entity types ("movie", "flight", …) — informational.
-    entity_types: Vec<String>,
     /// Incremental content fingerprint: the XOR of every live entry's
     /// hash, so it is order-independent and updated in O(1) per
     /// mutation. Response-cache keys include it so a schema change
@@ -87,14 +85,6 @@ impl Schema {
         self.fingerprint ^= entry_hash("ali", norm, relation);
     }
 
-    /// Declares an entity type.
-    pub fn add_entity_type(&mut self, name: &str) {
-        if !self.entity_types.iter().any(|t| t == name) {
-            self.entity_types.push(name.to_string());
-            self.fingerprint ^= entry_hash("typ", name, "");
-        }
-    }
-
     /// Order-independent content fingerprint of the whole schema.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -115,11 +105,6 @@ impl Schema {
     /// All canonical relations.
     pub fn relations(&self) -> &[String] {
         &self.relations
-    }
-
-    /// All declared entity types.
-    pub fn entity_types(&self) -> &[String] {
-        &self.entity_types
     }
 
     /// Number of gazetteer entries.
@@ -184,10 +169,7 @@ mod tests {
         let mut schema = Schema::new();
         schema.add_relation("year");
         schema.add_relation("year");
-        schema.add_entity_type("movie");
-        schema.add_entity_type("movie");
         assert_eq!(schema.relations().len(), 1);
-        assert_eq!(schema.entity_types().len(), 1);
     }
 
     #[test]

@@ -181,27 +181,10 @@ impl MetricsRegistry {
         );
     }
 
-    /// Registers histogram `name` with explicit bucket bounds
-    /// (ascending). Observing an unregistered histogram lazily creates
-    /// it with [`DEFAULT_MS_BUCKETS`].
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()));
-    }
-
     /// Records one observation into histogram `name` using the
     /// millisecond default buckets when the histogram is new.
     pub fn observe_ms(&self, name: &str, value: f64) {
         self.observe_with(name, value, &DEFAULT_MS_BUCKETS);
-    }
-
-    /// Records one observation into histogram `name` using the seconds
-    /// default buckets when the histogram is new.
-    pub fn observe_s(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_S_BUCKETS);
     }
 
     /// Records one observation, creating the histogram with `bounds` on

@@ -99,9 +99,6 @@ impl Observer {
             TraceEvent::LlmCallsFailed { count } => {
                 self.registry.inc("chaos_llm_failed_calls_total", *count);
             }
-            TraceEvent::LenientSkip { .. } => {
-                self.registry.inc("ingest_lenient_skips_total", 1);
-            }
             TraceEvent::Abstained { reason } => {
                 self.registry.inc("chaos_abstain_total", 1);
                 self.registry.inc(

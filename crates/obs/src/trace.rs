@@ -134,13 +134,6 @@ pub enum TraceEvent {
         /// Failed-call count.
         count: u64,
     },
-    /// A record was skipped by lenient ingest.
-    LenientSkip {
-        /// Offending source.
-        source: String,
-        /// Positional parse diagnostic.
-        detail: String,
-    },
     /// The pipeline abstained.
     Abstained {
         /// Structured abstain reason (snake-case).
@@ -180,7 +173,6 @@ impl TraceEvent {
             TraceEvent::SourceQuarantined { .. } => "source_quarantined",
             TraceEvent::LlmRetries { .. } => "llm_retries",
             TraceEvent::LlmCallsFailed { .. } => "llm_calls_failed",
-            TraceEvent::LenientSkip { .. } => "lenient_skip",
             TraceEvent::Abstained { .. } => "abstained",
             TraceEvent::GradeFailed { .. } => "grade_failed",
             TraceEvent::Escalated { .. } => "escalated",
@@ -200,9 +192,6 @@ impl TraceEvent {
                 .usize("skipped_claims", *skipped_claims),
             TraceEvent::LlmRetries { count } => obj.u64("count", *count),
             TraceEvent::LlmCallsFailed { count } => obj.u64("count", *count),
-            TraceEvent::LenientSkip { source, detail } => {
-                obj.str("source", source).str("detail", detail)
-            }
             TraceEvent::Abstained { reason } => obj.str("reason", reason),
             TraceEvent::GradeFailed { attempt } => obj.u64("attempt", u64::from(*attempt)),
             TraceEvent::Escalated { step, attempt } => {

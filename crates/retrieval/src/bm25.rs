@@ -43,14 +43,6 @@ impl Bm25Index {
         Self::default()
     }
 
-    /// Creates an empty index with explicit parameters.
-    pub fn with_params(params: Bm25Params) -> Self {
-        Self {
-            inverted: InvertedIndex::new(),
-            params,
-        }
-    }
-
     /// Builds an index over a collection in one shot.
     pub fn build<'a>(documents: impl Iterator<Item = &'a str>) -> Self {
         let mut index = Self::new();
@@ -165,8 +157,10 @@ mod tests {
 
     #[test]
     fn b_zero_disables_length_normalization() {
-        let params = Bm25Params { k1: 1.2, b: 0.0 };
-        let mut index = Bm25Index::with_params(params);
+        let mut index = Bm25Index {
+            inverted: InvertedIndex::new(),
+            params: Bm25Params { k1: 1.2, b: 0.0 },
+        };
         index.add_document("target alpha beta");
         index.add_document(&format!("target {}", "filler ".repeat(60)));
         let results = index.search("target", 2);

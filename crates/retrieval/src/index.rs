@@ -105,61 +105,6 @@ impl InvertedIndex {
         }
         self.doc_lengths.iter().map(|&l| f64::from(l)).sum::<f64>() / self.doc_lengths.len() as f64
     }
-
-    /// Documents containing *all* of the query's terms (conjunctive
-    /// boolean retrieval via posting-list intersection).
-    pub fn conjunctive(&self, query: &str) -> Vec<DocId> {
-        let tokens = tokenize(query);
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        let mut lists: Vec<&[Posting]> = Vec::with_capacity(tokens.len());
-        for token in &tokens {
-            let list = self.postings(token);
-            if list.is_empty() {
-                return Vec::new();
-            }
-            lists.push(list);
-        }
-        // Intersect starting from the shortest list.
-        lists.sort_by_key(|l| l.len());
-        let Some((first, rest)) = lists.split_first() else {
-            return Vec::new();
-        };
-        let mut result: Vec<DocId> = first.iter().map(|p| p.doc).collect();
-        let mut ops = 0u64;
-        for list in rest {
-            result = intersect_sorted(&result, list, &mut ops);
-            if result.is_empty() {
-                break;
-            }
-        }
-        result
-    }
-}
-
-/// Sorted-merge intersection of an already-intersected doc set with a
-/// posting list. Postings are doc-id-sorted by construction (documents
-/// are appended in id order), so one forward pass over both inputs
-/// suffices — `O(n + m)` where the old strategy materialized each list
-/// into a `Vec` and probed it per candidate. `ops` counts element
-/// comparisons so tests can micro-assert the bound.
-pub fn intersect_sorted(acc: &[DocId], postings: &[Posting], ops: &mut u64) -> Vec<DocId> {
-    let mut out = Vec::with_capacity(acc.len().min(postings.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while let (Some(&d), Some(p)) = (acc.get(i), postings.get(j)) {
-        *ops += 1;
-        match d.cmp(&p.doc) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(d);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -206,43 +151,6 @@ mod tests {
                 .doc_frequency(index.vocab().get("delay").unwrap()),
             1
         );
-    }
-
-    #[test]
-    fn conjunctive_intersects() {
-        let index = sample();
-        assert_eq!(index.conjunctive("typhoon flight"), vec![DocId(0)]);
-        assert_eq!(index.conjunctive("typhoon"), vec![DocId(0), DocId(2)]);
-        assert!(index.conjunctive("typhoon unicorn").is_empty());
-        assert!(index.conjunctive("").is_empty());
-    }
-
-    #[test]
-    fn sorted_merge_matches_naive_with_fewer_ops() {
-        // 48 docs: "alpha" in all, "beta" in every other one.
-        let mut index = InvertedIndex::new();
-        for i in 0..48 {
-            let text = if i % 2 == 0 { "alpha beta" } else { "alpha" };
-            index.add_document(text);
-        }
-        let alpha = index.postings("alpha");
-        let beta = index.postings("beta");
-        // Before: the O(n·m)-shaped strategy materialized the second
-        // list and probed it per candidate — n probes of an m-vec.
-        let naive_bound = (alpha.len() * beta.len()) as u64;
-        let naive: Vec<DocId> = alpha
-            .iter()
-            .map(|p| p.doc)
-            .filter(|d| beta.iter().any(|p| p.doc == *d))
-            .collect();
-        // After: one sorted merge, at most n + m comparisons.
-        let mut ops = 0u64;
-        let acc: Vec<DocId> = alpha.iter().map(|p| p.doc).collect();
-        let merged = intersect_sorted(&acc, beta, &mut ops);
-        assert_eq!(merged, naive);
-        assert_eq!(merged.len(), 24);
-        assert!(ops <= (alpha.len() + beta.len()) as u64);
-        assert!(ops < naive_bound, "merge must beat the quadratic bound");
     }
 
     #[test]

@@ -76,30 +76,6 @@ pub fn normalize_mention(text: &str) -> String {
     raw_tokens(text).join(" ")
 }
 
-/// Counts token occurrences (term frequency) into a sorted vec.
-pub fn term_frequencies(tokens: &[String]) -> Vec<(String, u32)> {
-    let mut counts: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
-    for token in tokens {
-        *counts.entry(token.as_str()).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .map(|(t, c)| (t.to_string(), c))
-        .collect()
-}
-
-/// Jaccard similarity between the token sets of two texts.
-pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let sa: std::collections::BTreeSet<String> = tokenize(a).into_iter().collect();
-    let sb: std::collections::BTreeSet<String> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,25 +136,6 @@ mod tests {
             normalize_mention("J R R Tolkien"),
             normalize_mention("j.r.r. tolkien")
         );
-    }
-
-    #[test]
-    fn term_frequencies_counts() {
-        let tokens = tokenize("delay delay typhoon");
-        let tf = term_frequencies(&tokens);
-        assert_eq!(
-            tf,
-            vec![("delay".to_string(), 2), ("typhoon".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn token_jaccard_bounds_and_identity() {
-        assert_eq!(token_jaccard("flight delayed", "flight delayed"), 1.0);
-        assert_eq!(token_jaccard("", ""), 1.0);
-        assert_eq!(token_jaccard("alpha beta", "gamma delta"), 0.0);
-        let mid = token_jaccard("flight delayed typhoon", "flight on time");
-        assert!(mid > 0.0 && mid < 1.0);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Vocabulary {
         self.doc_frequency[id.index()]
     }
 
-    /// Total registered documents.
-    pub fn document_count(&self) -> u32 {
-        self.documents
-    }
-
     /// Smoothed inverse document frequency:
     /// `ln(1 + (N - df + 0.5) / (df + 0.5))` (BM25-style, always ≥ 0).
     pub fn idf(&self, id: TermId) -> f64 {
@@ -116,7 +111,7 @@ mod tests {
         let b = vocab.get("b").unwrap();
         assert_eq!(vocab.doc_frequency(a), 2);
         assert_eq!(vocab.doc_frequency(b), 1);
-        assert_eq!(vocab.document_count(), 2);
+        assert_eq!(vocab.documents, 2);
     }
 
     #[test]

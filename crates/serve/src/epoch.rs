@@ -253,8 +253,14 @@ impl IndexWriter {
     /// homologous cardinality (1 = isolated, ≥ 2 = homologous group),
     /// which the next snapshot's slot tier will show.
     pub fn apply(&mut self, update: &TripleUpdate) -> usize {
-        let next = SourceId(self.graph.source_count() as u32);
-        let source = *self.sources.entry(update.source.clone()).or_insert(next);
+        let source = match self.sources.get(&update.source) {
+            Some(&known) => known,
+            None => {
+                let next = SourceId(self.graph.source_count() as u32);
+                self.sources.insert(update.source.clone(), next);
+                next
+            }
+        };
         self.log.push((source, update.clone()));
         append(&mut self.graph, &self.domain, source, update)
     }
