@@ -1,5 +1,5 @@
 //! Serializes generated sources to CSV / JSON / XML text so the full
-//! ingest path (parsers → adapters → JSON-LD → graph) can be exercised
+//! ingest path (parsers → adapters → claims → graph) can be exercised
 //! end to end. Used by examples and integration tests.
 
 use crate::spec::MultiSourceDataset;

@@ -1,18 +1,17 @@
 //! Per-format adapters and the multi-source fusion union (Eq. 2).
 //!
 //! The paper designs "a unique adapter for each distinct data format":
-//! structured (CSV tables → DSM columns), semi-structured (JSON / XML
-//! trees), and unstructured (text, deferred to LLM extraction). Each
-//! adapter emits normalized JSON-LD records plus uniform [`Claim`]s —
-//! `(entity, attribute, value)` assertions with provenance — ready for
-//! knowledge-graph loading. [`fuse_sources`] is the union
+//! structured (CSV tables), semi-structured (JSON / XML trees), and
+//! unstructured (text, deferred to LLM extraction). Here each adapter
+//! is one private function that goes from parsed bytes straight to
+//! uniform [`Claim`]s — `(entity, attribute, value)` assertions with
+//! provenance — ready for knowledge-graph loading, and counts the
+//! records it read. [`fuse_sources`] is the union
 //! `D_Fusion = ⋃ A_i(D_i)`.
 
 use crate::csv;
-use crate::dsm::ColumnStore;
 use crate::error::{IngestError, ParseError};
 use crate::json::{self, JsonValue};
-use crate::jsonld::NormalizedRecord;
 use crate::xml::{self, XmlElement, XmlNode};
 use multirag_kg::{FxHashMap, KnowledgeGraph, Value};
 
@@ -61,8 +60,6 @@ pub struct RawSource {
 /// A uniform `(entity, attribute, value)` assertion with provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Claim {
-    /// Normalized record the claim came from.
-    pub record_id: u64,
     /// Entity the claim is about.
     pub entity: String,
     /// Attribute / relation name.
@@ -76,8 +73,9 @@ pub struct Claim {
 /// The output of one adapter run.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptedSource {
-    /// Normalized JSON-LD records.
-    pub records: Vec<NormalizedRecord>,
+    /// Records read: CSV rows and JSON objects or XML elements that
+    /// name an entity, KG triple lines, and text chunks.
+    pub records: usize,
     /// Uniform claims extracted from structured / semi-structured data.
     pub claims: Vec<Claim>,
     /// Raw text chunks for unstructured data (LLM extraction happens
@@ -85,242 +83,188 @@ pub struct AdaptedSource {
     pub text_chunks: Vec<String>,
 }
 
-/// A format adapter: `A_i` in Eq. 2.
-pub trait Adapter {
-    /// Parses a raw source into normalized records and claims, numbering
-    /// records from `start_id`.
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError>;
+/// JSON keys that name a record's entity, tried in order. None of them
+/// becomes a claim.
+const JSON_ENTITY_KEYS: [&str; 5] = ["name", "id", "title", "code", "symbol"];
 
-    /// Lenient variant: instead of aborting on the first malformed
-    /// input, skips what cannot be parsed and reports each skip as a
-    /// positional [`ParseError`]. The default implementation treats the
-    /// source as one unit (a parse error drops the whole source);
-    /// record-oriented adapters override it to skip only the bad
-    /// records.
-    fn adapt_lenient(&self, source: &RawSource, start_id: u64) -> (AdaptedSource, Vec<ParseError>) {
-        match self.adapt(source, start_id) {
-            Ok(out) => (out, Vec::new()),
-            Err(err) => (AdaptedSource::default(), vec![err]),
-        }
+/// XML attributes or child tags that name a record's entity, tried in
+/// order. None of them becomes a claim.
+const XML_ENTITY_TAGS: [&str; 4] = ["name", "id", "title", "isbn"];
+
+/// Soft limit on the characters of a text chunk, which splits only at
+/// paragraph boundaries.
+const MAX_CHUNK_CHARS: usize = 800;
+
+/// Runs the adapter of the source's format. Only KG skips bad records
+/// one at a time: given `skipped`, it records each malformed line there
+/// and keeps going. Every other format fails the whole source on its
+/// first parse error.
+fn adapt(
+    source: &RawSource,
+    skipped: Option<&mut Vec<ParseError>>,
+) -> Result<AdaptedSource, ParseError> {
+    let content = source.content.as_str();
+    match source.format {
+        SourceFormat::Csv => adapt_csv(content),
+        SourceFormat::Json => adapt_json(content),
+        SourceFormat::Xml => adapt_xml(content),
+        SourceFormat::Kg => adapt_kg(content, skipped),
+        SourceFormat::Text => Ok(adapt_text(content)),
     }
 }
 
-fn base_meta(source: &RawSource) -> FxHashMap<String, String> {
-    let mut meta = FxHashMap::default();
-    meta.insert("format".to_string(), source.format.tag().to_string());
-    meta.insert("source".to_string(), source.name.clone());
-    meta.insert("domain".to_string(), source.domain.clone());
-    meta
-}
-
-// -------------------------------------------------------------------
-// Structured (CSV → DSM)
-// -------------------------------------------------------------------
-
-/// Adapter for structured tabular data. The first column (or the column
-/// named by `entity_column`) identifies the entity; every other cell is
-/// an attribute claim.
-#[derive(Debug, Clone, Default)]
-pub struct StructuredAdapter {
-    /// Name of the column identifying the entity; defaults to the first
-    /// column.
-    pub entity_column: Option<String>,
-}
-
-impl Adapter for StructuredAdapter {
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError> {
-        let table = csv::parse(&source.content)?;
-        let store = ColumnStore::from_table(&table);
-        let cols_index = store.cols_index();
-        let entity_idx = match &self.entity_column {
-            Some(name) => table.column_index(name).ok_or_else(|| {
-                ParseError::at(
-                    "csv",
-                    &source.content,
-                    0,
-                    format!("entity column '{name}' not found"),
-                )
-            })?,
-            None => 0,
-        };
-        let meta = base_meta(source);
-        let mut out = AdaptedSource::default();
-        for (row_idx, row) in table.rows.iter().enumerate() {
-            let entity = row
-                .get(entity_idx)
-                .map(|v| v.to_string())
-                .unwrap_or_default();
-            if entity.is_empty() {
+/// Structured tabular data: the first column names the entity; every
+/// other non-empty cell is an attribute claim.
+fn adapt_csv(content: &str) -> Result<AdaptedSource, ParseError> {
+    let table = csv::parse(content)?;
+    let mut out = AdaptedSource::default();
+    for (row_idx, row) in table.rows.into_iter().enumerate() {
+        let mut cells = row.into_iter();
+        let entity = cells.next().map(|v| v.to_string()).unwrap_or_default();
+        if entity.is_empty() {
+            continue;
+        }
+        for (header, value) in table.headers.iter().skip(1).zip(cells) {
+            if value.is_null() {
                 continue;
             }
-            let members: Vec<(String, JsonValue)> = table
-                .headers
-                .iter()
-                .zip(row.iter())
-                .map(|(h, v)| (h.clone(), value_to_json(v)))
-                .collect();
-            let record_id = start_id + out.records.len() as u64;
-            let record = NormalizedRecord::new(
-                record_id,
-                &source.domain,
-                &source.name,
-                JsonValue::Object(members),
-                meta.clone(),
-                Some(cols_index.clone()),
-            );
-            for (col_idx, (header, value)) in table.headers.iter().zip(row.iter()).enumerate() {
-                if col_idx == entity_idx || value.is_null() {
-                    continue;
-                }
-                out.claims.push(Claim {
-                    record_id,
-                    entity: entity.clone(),
-                    attribute: header.clone(),
-                    value: value.clone(),
-                    chunk: row_idx as u32,
-                });
-            }
-            out.records.push(record);
+            out.claims.push(Claim {
+                entity: entity.clone(),
+                attribute: header.clone(),
+                value,
+                chunk: row_idx as u32,
+            });
         }
-        Ok(out)
+        out.records += 1;
     }
+    Ok(out)
 }
 
-// -------------------------------------------------------------------
-// Semi-structured (JSON)
-// -------------------------------------------------------------------
-
-/// Adapter for semi-structured JSON: a top-level array of objects (or a
-/// single object). The entity is identified by the first present key in
-/// `entity_keys`.
-#[derive(Debug, Clone)]
-pub struct JsonAdapter {
-    /// Candidate entity-identifying keys, tried in order.
-    pub entity_keys: Vec<String>,
-}
-
-impl Default for JsonAdapter {
-    fn default() -> Self {
-        Self {
-            entity_keys: vec![
-                "name".to_string(),
-                "id".to_string(),
-                "title".to_string(),
-                "code".to_string(),
-                "symbol".to_string(),
-            ],
+/// Semi-structured JSON: a top-level array of objects (or a single
+/// object). The entity is the first of [`JSON_ENTITY_KEYS`] present
+/// with a non-empty string or integer value.
+fn adapt_json(content: &str) -> Result<AdaptedSource, ParseError> {
+    let doc = json::parse(content)?;
+    let objects = match &doc {
+        JsonValue::Array(items) => items.as_slice(),
+        JsonValue::Object(_) => std::slice::from_ref(&doc),
+        _ => {
+            return Err(ParseError::at(
+                "json",
+                content,
+                0,
+                "expected an object or array of objects",
+            ))
+        }
+    };
+    let mut out = AdaptedSource::default();
+    for (chunk, object) in objects.iter().enumerate() {
+        if let Some(entity) = json_entity(object) {
+            push_record(&mut out, entity, object, &JSON_ENTITY_KEYS, chunk);
         }
     }
+    Ok(out)
 }
 
-impl JsonAdapter {
-    fn entity_of(&self, object: &JsonValue) -> Option<String> {
-        for key in &self.entity_keys {
-            if let Some(v) = object.get(key) {
-                let text = match v {
-                    JsonValue::Str(s) => s.clone(),
-                    JsonValue::Int(i) => i.to_string(),
-                    _ => continue,
-                };
-                if !text.is_empty() {
-                    return Some(text);
-                }
-            }
-        }
-        None
-    }
-}
-
-impl Adapter for JsonAdapter {
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError> {
-        let doc = json::parse(&source.content)?;
-        let objects: Vec<&JsonValue> = match &doc {
-            JsonValue::Array(items) => items.iter().collect(),
-            obj @ JsonValue::Object(_) => vec![obj],
-            _ => {
-                return Err(ParseError::at(
-                    "json",
-                    &source.content,
-                    0,
-                    "expected an object or array of objects",
-                ))
-            }
+fn json_entity(object: &JsonValue) -> Option<String> {
+    JSON_ENTITY_KEYS.iter().find_map(|key| {
+        let text = match object.get(key)? {
+            JsonValue::Str(s) => s.clone(),
+            JsonValue::Int(i) => i.to_string(),
+            _ => return None,
         };
-        let meta = base_meta(source);
-        let mut out = AdaptedSource::default();
-        for (chunk, object) in objects.iter().enumerate() {
-            let Some(entity) = self.entity_of(object) else {
-                continue;
-            };
-            let record_id = start_id + out.records.len() as u64;
-            let record = NormalizedRecord::new(
-                record_id,
-                &source.domain,
-                &source.name,
-                (*object).clone(),
-                meta.clone(),
-                None,
-            );
-            for (path, value) in record.flatten() {
-                if self.entity_keys.contains(&path) || value.is_null() {
-                    continue;
-                }
-                out.claims.push(Claim {
-                    record_id,
-                    entity: entity.clone(),
-                    attribute: path,
-                    value,
-                    chunk: chunk as u32,
-                });
-            }
-            out.records.push(record);
-        }
-        Ok(out)
-    }
+        (!text.is_empty()).then_some(text)
+    })
 }
 
-// -------------------------------------------------------------------
-// Semi-structured (XML)
-// -------------------------------------------------------------------
-
-/// Adapter for semi-structured XML: each child element of the root is a
-/// record; its attributes and leaf children become claims. The entity is
-/// the first present of `entity_tags` (as attribute or child text).
-#[derive(Debug, Clone)]
-pub struct XmlAdapter {
-    /// Candidate entity-identifying tags / attributes, tried in order.
-    pub entity_tags: Vec<String>,
-}
-
-impl Default for XmlAdapter {
-    fn default() -> Self {
-        Self {
-            entity_tags: vec![
-                "name".to_string(),
-                "id".to_string(),
-                "title".to_string(),
-                "isbn".to_string(),
-            ],
+/// Semi-structured XML: each child element of the root is a record; its
+/// attributes and children become claims through their JSON mirror. The
+/// entity is the first of [`XML_ENTITY_TAGS`] present, as a non-empty
+/// attribute or child text.
+fn adapt_xml(content: &str) -> Result<AdaptedSource, ParseError> {
+    let root = xml::parse(content)?;
+    let mut out = AdaptedSource::default();
+    for (chunk, element) in root.child_elements().into_iter().enumerate() {
+        if let Some(entity) = xml_entity(element) {
+            let mirror = element_to_json(element);
+            push_record(&mut out, entity, &mirror, &XML_ENTITY_TAGS, chunk);
         }
     }
+    Ok(out)
 }
 
-impl XmlAdapter {
-    fn entity_of(&self, element: &XmlElement) -> Option<String> {
-        for tag in &self.entity_tags {
-            if let Some(v) = element.attribute(tag) {
-                if !v.is_empty() {
-                    return Some(v.to_string());
-                }
-            }
-            if let Some(child) = element.child(tag) {
-                let text = child.text();
-                if !text.is_empty() {
-                    return Some(text);
+fn xml_entity(element: &XmlElement) -> Option<String> {
+    XML_ENTITY_TAGS.iter().find_map(|tag| {
+        if let Some(v) = element.attribute(tag).filter(|v| !v.is_empty()) {
+            return Some(v.to_string());
+        }
+        element
+            .child(tag)
+            .map(XmlElement::text)
+            .filter(|text| !text.is_empty())
+    })
+}
+
+/// Counts one JSON or XML record and emits its claims: every flattened
+/// path except the entity keys, and no nulls.
+fn push_record(
+    out: &mut AdaptedSource,
+    entity: String,
+    object: &JsonValue,
+    entity_keys: &[&str],
+    chunk: usize,
+) {
+    for (path, value) in flatten(object) {
+        if entity_keys.contains(&path.as_str()) || value.is_null() {
+            continue;
+        }
+        out.claims.push(Claim {
+            entity: entity.clone(),
+            attribute: path,
+            value,
+            chunk: chunk as u32,
+        });
+    }
+    out.records += 1;
+}
+
+/// Flattens a record into `(path, scalar)` pairs. Nested containers
+/// contribute dotted paths (`legs.0.from`). Top-level keys that start
+/// with `@` are JSON-LD keywords (`@context`, `@id`, `@type`), not
+/// content, and are skipped; a record that is not an object has no
+/// attributes.
+fn flatten(object: &JsonValue) -> Vec<(String, Value)> {
+    let mut out = Vec::new();
+    for (key, value) in object.as_object().into_iter().flatten() {
+        if !key.starts_with('@') {
+            flatten_into(key, value, &mut out);
+        }
+    }
+    out
+}
+
+fn flatten_into(path: &str, value: &JsonValue, out: &mut Vec<(String, Value)>) {
+    match value {
+        JsonValue::Array(items) => {
+            // A flat array of scalars is one multi-valued claim; mixed or
+            // nested arrays flatten element-wise with positional paths.
+            if items.iter().all(|i| !i.is_container()) {
+                out.push((
+                    path.to_string(),
+                    Value::List(items.iter().map(JsonValue::to_value).collect()),
+                ));
+            } else {
+                for (i, item) in items.iter().enumerate() {
+                    flatten_into(&format!("{path}.{i}"), item, out);
                 }
             }
         }
-        None
+        JsonValue::Object(members) => {
+            for (k, v) in members {
+                flatten_into(&format!("{path}.{k}"), v, out);
+            }
+        }
+        scalar => out.push((path.to_string(), scalar.to_value())),
     }
 }
 
@@ -383,204 +327,83 @@ fn sniff_scalar(text: &str) -> JsonValue {
     }
 }
 
-fn value_to_json(value: &Value) -> JsonValue {
-    match value {
-        Value::Null => JsonValue::Null,
-        Value::Bool(b) => JsonValue::Bool(*b),
-        Value::Int(i) => JsonValue::Int(*i),
-        Value::Float(f) => JsonValue::Float(*f),
-        Value::Str(s) => JsonValue::Str(s.clone()),
-        Value::List(items) => JsonValue::Array(items.iter().map(value_to_json).collect()),
-    }
-}
-
-impl Adapter for XmlAdapter {
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError> {
-        let root = xml::parse(&source.content)?;
-        let meta = base_meta(source);
-        let mut out = AdaptedSource::default();
-        for (chunk, element) in root.child_elements().into_iter().enumerate() {
-            let Some(entity) = self.entity_of(element) else {
-                continue;
-            };
-            let json_mirror = element_to_json(element);
-            let record_id = start_id + out.records.len() as u64;
-            let record = NormalizedRecord::new(
-                record_id,
-                &source.domain,
-                &source.name,
-                json_mirror,
-                meta.clone(),
-                None,
-            );
-            for (path, value) in record.flatten() {
-                if self.entity_tags.contains(&path) || value.is_null() {
-                    continue;
-                }
-                out.claims.push(Claim {
-                    record_id,
-                    entity: entity.clone(),
-                    attribute: path,
-                    value,
-                    chunk: chunk as u32,
-                });
-            }
-            out.records.push(record);
+/// Native triple dumps: one `subject|predicate|object` per line ('#'
+/// comments and blank lines skipped). With `skipped`, a malformed line
+/// is recorded there and the rest still loads; without, it fails the
+/// source.
+fn adapt_kg(
+    content: &str,
+    mut skipped: Option<&mut Vec<ParseError>>,
+) -> Result<AdaptedSource, ParseError> {
+    let mut out = AdaptedSource::default();
+    let mut offset = 0usize;
+    for (line_no, raw_line) in content.split('\n').enumerate() {
+        let line_offset = offset;
+        offset += raw_line.len() + 1;
+        let line = raw_line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
         }
-        Ok(out)
-    }
-}
-
-// -------------------------------------------------------------------
-// Native KG
-// -------------------------------------------------------------------
-
-/// Adapter for native triple dumps: one `subject|predicate|object` per
-/// line ('#' comments and blank lines skipped).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KgAdapter;
-
-impl KgAdapter {
-    fn adapt_impl(
-        &self,
-        source: &RawSource,
-        start_id: u64,
-        lenient: bool,
-    ) -> (AdaptedSource, Vec<ParseError>) {
-        let meta = base_meta(source);
-        let mut out = AdaptedSource::default();
-        let mut skipped = Vec::new();
-        let mut offset = 0usize;
-        for (line_no, raw_line) in source.content.split('\n').enumerate() {
-            let line_offset = offset;
-            offset += raw_line.len() + 1;
-            let line = raw_line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(3, '|');
-            let (Some(s), Some(p), Some(o)) = (parts.next(), parts.next(), parts.next()) else {
-                skipped.push(ParseError::at(
-                    "kg",
-                    &source.content,
-                    line_offset,
-                    format!("malformed triple on line {}", line_no + 1),
-                ));
-                if lenient {
-                    continue;
-                }
-                return (out, skipped);
-            };
-            let (subject, predicate, object) = (s.trim(), p.trim(), o.trim());
-            let record_id = start_id + out.records.len() as u64;
-            let content = JsonValue::Object(vec![
-                ("subject".to_string(), JsonValue::Str(subject.to_string())),
-                (
-                    "predicate".to_string(),
-                    JsonValue::Str(predicate.to_string()),
-                ),
-                ("object".to_string(), sniff_scalar(object)),
-            ]);
-            out.records.push(NormalizedRecord::new(
-                record_id,
-                &source.domain,
-                &source.name,
+        let mut parts = line.splitn(3, '|');
+        let (Some(s), Some(p), Some(o)) = (parts.next(), parts.next(), parts.next()) else {
+            let err = ParseError::at(
+                "kg",
                 content,
-                meta.clone(),
-                None,
-            ));
-            out.claims.push(Claim {
-                record_id,
-                entity: subject.to_string(),
-                attribute: predicate.to_string(),
-                value: match sniff_scalar(object) {
-                    JsonValue::Int(i) => Value::Int(i),
-                    JsonValue::Float(f) => Value::Float(f),
-                    JsonValue::Bool(b) => Value::Bool(b),
-                    other => Value::Str(match other {
-                        JsonValue::Str(s) => s,
-                        _ => object.to_string(),
-                    }),
-                },
-                chunk: line_no as u32,
-            });
-        }
-        (out, skipped)
-    }
-}
-
-impl Adapter for KgAdapter {
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError> {
-        let (out, mut skipped) = self.adapt_impl(source, start_id, false);
-        match skipped.pop() {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
-    }
-
-    fn adapt_lenient(&self, source: &RawSource, start_id: u64) -> (AdaptedSource, Vec<ParseError>) {
-        self.adapt_impl(source, start_id, true)
-    }
-}
-
-// -------------------------------------------------------------------
-// Unstructured text
-// -------------------------------------------------------------------
-
-/// Adapter for unstructured text: slices the input into paragraph
-/// chunks and records them; triple extraction is the simulated LLM's
-/// job downstream.
-#[derive(Debug, Clone, Copy)]
-pub struct TextAdapter {
-    /// Maximum characters per chunk (soft limit, split at paragraph
-    /// boundaries).
-    pub max_chunk_chars: usize,
-}
-
-impl Default for TextAdapter {
-    fn default() -> Self {
-        Self {
-            max_chunk_chars: 800,
-        }
-    }
-}
-
-impl Adapter for TextAdapter {
-    fn adapt(&self, source: &RawSource, start_id: u64) -> Result<AdaptedSource, ParseError> {
-        let meta = base_meta(source);
-        let mut out = AdaptedSource::default();
-        let mut current = String::new();
-        let flush = |current: &mut String, out: &mut AdaptedSource| {
-            let text = current.trim().to_string();
-            if text.is_empty() {
-                return;
+                line_offset,
+                format!("malformed triple on line {}", line_no + 1),
+            );
+            match skipped.as_deref_mut() {
+                Some(skipped) => {
+                    skipped.push(err);
+                    continue;
+                }
+                None => return Err(err),
             }
-            let record_id = start_id + out.records.len() as u64;
-            out.records.push(NormalizedRecord::new(
-                record_id,
-                &source.domain,
-                &source.name,
-                JsonValue::Object(vec![("text".to_string(), JsonValue::Str(text.clone()))]),
-                meta.clone(),
-                None,
-            ));
-            out.text_chunks.push(text);
-            current.clear();
         };
-        for paragraph in source.content.split("\n\n") {
-            if !current.is_empty() && current.len() + paragraph.len() + 2 > self.max_chunk_chars {
-                flush(&mut current, &mut out);
-            }
-            if !current.is_empty() {
-                current.push_str("\n\n");
-            }
-            current.push_str(paragraph);
-            if current.len() >= self.max_chunk_chars {
-                flush(&mut current, &mut out);
-            }
+        out.claims.push(Claim {
+            entity: s.trim().to_string(),
+            attribute: p.trim().to_string(),
+            value: sniff_scalar(o.trim()).to_value(),
+            chunk: line_no as u32,
+        });
+        out.records += 1;
+    }
+    Ok(out)
+}
+
+/// Unstructured text: slices the input into paragraph chunks of about
+/// [`MAX_CHUNK_CHARS`]; triple extraction is the simulated LLM's job
+/// downstream.
+fn adapt_text(content: &str) -> AdaptedSource {
+    let mut chunks = Vec::new();
+    let mut current = String::new();
+    for paragraph in content.split("\n\n") {
+        if !current.is_empty() && current.len() + paragraph.len() + 2 > MAX_CHUNK_CHARS {
+            flush_chunk(&mut current, &mut chunks);
         }
-        flush(&mut current, &mut out);
-        Ok(out)
+        if !current.is_empty() {
+            current.push_str("\n\n");
+        }
+        current.push_str(paragraph);
+        if current.len() >= MAX_CHUNK_CHARS {
+            flush_chunk(&mut current, &mut chunks);
+        }
+    }
+    flush_chunk(&mut current, &mut chunks);
+    AdaptedSource {
+        records: chunks.len(),
+        claims: Vec::new(),
+        text_chunks: chunks,
+    }
+}
+
+/// Moves the pending chunk, trimmed, into `chunks`; a blank one stays
+/// pending.
+fn flush_chunk(current: &mut String, chunks: &mut Vec<String>) {
+    let text = current.trim();
+    if !text.is_empty() {
+        chunks.push(text.to_string());
+        current.clear();
     }
 }
 
@@ -589,8 +412,8 @@ impl Adapter for TextAdapter {
 // -------------------------------------------------------------------
 
 /// Runs the right adapter for each source and unions the outputs —
-/// `D_Fusion = ⋃_{i} A_i(D_i)`. Records receive globally sequential
-/// ids; claims keep per-source provenance via `sources` order.
+/// `D_Fusion = ⋃_{i} A_i(D_i)`; claims keep per-source provenance via
+/// `sources` order.
 ///
 /// # Examples
 ///
@@ -660,10 +483,7 @@ impl FusionReport {
         metrics.inc("ingest_sources_total", self.adapted.len() as u64);
         metrics.inc(
             "ingest_records_total",
-            self.adapted
-                .iter()
-                .map(|(_, a)| a.records.len() as u64)
-                .sum(),
+            self.adapted.iter().map(|(_, a)| a.records as u64).sum(),
         );
         metrics.inc("ingest_claims_total", self.claim_count() as u64);
         metrics.inc("ingest_lenient_skips_total", self.diagnostics.len() as u64);
@@ -679,16 +499,6 @@ impl FusionReport {
     }
 }
 
-fn adapter_for(format: SourceFormat) -> Box<dyn Adapter> {
-    match format {
-        SourceFormat::Csv => Box::new(StructuredAdapter::default()),
-        SourceFormat::Json => Box::new(JsonAdapter::default()),
-        SourceFormat::Xml => Box::new(XmlAdapter::default()),
-        SourceFormat::Kg => Box::new(KgAdapter),
-        SourceFormat::Text => Box::new(TextAdapter::default()),
-    }
-}
-
 /// [`fuse_sources`] with an explicit [`IngestMode`]. In
 /// [`IngestMode::Lenient`] a malformed source no longer poisons the
 /// whole fusion: whatever parses survives, and each skip is reported as
@@ -698,24 +508,25 @@ pub fn fuse_sources_with(
     mode: IngestMode,
 ) -> Result<FusionReport, IngestError> {
     let mut report = FusionReport::default();
-    let mut next_id = 0u64;
     for (index, source) in sources.iter().enumerate() {
-        let adapter = adapter_for(source.format);
         let adapted = match mode {
-            IngestMode::Strict => adapter.adapt(source, next_id)?,
+            IngestMode::Strict => adapt(source, None)?,
             IngestMode::Lenient => {
-                let (adapted, skipped) = adapter.adapt_lenient(source, next_id);
-                for error in skipped {
-                    report.diagnostics.push(IngestDiagnostic {
+                let mut skipped = Vec::new();
+                let adapted = adapt(source, Some(&mut skipped)).unwrap_or_else(|err| {
+                    skipped.push(err);
+                    AdaptedSource::default()
+                });
+                report
+                    .diagnostics
+                    .extend(skipped.into_iter().map(|error| IngestDiagnostic {
                         source_index: index,
                         source: source.name.clone(),
                         error,
-                    });
-                }
+                    }));
                 adapted
             }
         };
-        next_id += adapted.records.len() as u64;
         report.adapted.push((index, adapted));
     }
     Ok(report)
@@ -797,43 +608,58 @@ mod tests {
         }
     }
 
+    fn source(name: &str, format: SourceFormat, content: &str) -> RawSource {
+        RawSource {
+            name: name.into(),
+            domain: "d".into(),
+            format,
+            content: content.into(),
+        }
+    }
+
     #[test]
     fn structured_adapter_emits_row_claims() {
-        let adapted = StructuredAdapter::default()
-            .adapt(&csv_source(), 0)
-            .unwrap();
-        assert_eq!(adapted.records.len(), 2);
+        let adapted = adapt(&csv_source(), None).unwrap();
+        assert_eq!(adapted.records, 2);
         assert_eq!(adapted.claims.len(), 4); // 2 rows × (year, director)
         let claim = &adapted.claims[0];
         assert_eq!(claim.entity, "Heat");
         assert_eq!(claim.attribute, "year");
         assert_eq!(claim.value, Value::Int(1995));
-        assert!(adapted.records[0].cols_index.is_some());
+    }
+
+    fn repeated_header_sources() -> Vec<RawSource> {
+        vec![
+            source("dup.csv", SourceFormat::Csv, "a,a\n1,2\n"),
+            json_source(),
+        ]
     }
 
     #[test]
-    fn structured_adapter_honors_entity_column() {
-        let adapter = StructuredAdapter {
-            entity_column: Some("director".into()),
+    fn repeated_csv_header_fails_strict_fusion() {
+        let Err(IngestError::Parse(err)) = fuse_sources(&repeated_header_sources()) else {
+            panic!("a repeated header must fail strict fusion");
         };
-        let adapted = adapter.adapt(&csv_source(), 0).unwrap();
-        assert_eq!(adapted.claims[0].entity, "Mann");
-        assert!(adapted.claims.iter().all(|c| c.attribute != "director"));
+        // The second `a`.
+        assert_eq!((err.line, err.column, err.offset), (1, 3, 2));
+        assert!(err.message.contains("repeated header"), "{err}");
     }
 
     #[test]
-    fn structured_adapter_rejects_missing_entity_column() {
-        let adapter = StructuredAdapter {
-            entity_column: Some("nope".into()),
-        };
-        assert!(adapter.adapt(&csv_source(), 0).is_err());
+    fn repeated_csv_header_is_skipped_leniently() {
+        let report = fuse_sources_with(&repeated_header_sources(), IngestMode::Lenient).unwrap();
+        assert_eq!(report.diagnostics.len(), 1);
+        assert_eq!(report.diagnostics[0].source_index, 0);
+        assert_eq!(report.diagnostics[0].error.offset, 2);
+        assert_eq!(report.adapted[0].1.records, 0);
+        assert!(report.adapted[0].1.claims.is_empty());
+        assert_eq!(report.adapted[1].1.records, 2, "healthy source loads");
     }
 
     #[test]
     fn json_adapter_flattens_nested_content() {
-        let adapted = JsonAdapter::default().adapt(&json_source(), 10).unwrap();
-        assert_eq!(adapted.records.len(), 2);
-        assert_eq!(adapted.records[0].id, 10);
+        let adapted = adapt(&json_source(), None).unwrap();
+        assert_eq!(adapted.records, 2);
         let attrs: Vec<&str> = adapted
             .claims
             .iter()
@@ -847,32 +673,67 @@ mod tests {
     }
 
     #[test]
+    fn json_adapter_skips_top_level_at_keys() {
+        let ld = source(
+            "ld.json",
+            SourceFormat::Json,
+            r#"{"@context": "https://schema.org", "@id": "urn:heat", "@type": "Movie",
+                "name": "Heat", "year": 1995, "meta": {"@b": 1}}"#,
+        );
+        let adapted = adapt(&ld, None).unwrap();
+        let claims: Vec<(&str, &str, &Value)> = adapted
+            .claims
+            .iter()
+            .map(|c| (c.entity.as_str(), c.attribute.as_str(), &c.value))
+            .collect();
+        assert_eq!(
+            claims,
+            [
+                ("Heat", "year", &Value::Int(1995)),
+                ("Heat", "meta.@b", &Value::Int(1)),
+            ]
+        );
+    }
+
+    #[test]
     fn json_adapter_skips_objects_without_entity() {
-        let source = RawSource {
-            name: "x.json".into(),
-            domain: "d".into(),
-            format: SourceFormat::Json,
-            content: r#"[{"title": "Named"}, {"year": 2020}]"#.into(),
-        };
-        let adapted = JsonAdapter::default().adapt(&source, 0).unwrap();
-        assert_eq!(adapted.records.len(), 1);
+        let unnamed = source(
+            "x.json",
+            SourceFormat::Json,
+            r#"[{"title": "Named"}, {"year": 2020}]"#,
+        );
+        assert_eq!(adapt(&unnamed, None).unwrap().records, 1);
     }
 
     #[test]
     fn json_adapter_rejects_scalar_roots() {
-        let source = RawSource {
-            name: "x.json".into(),
-            domain: "d".into(),
-            format: SourceFormat::Json,
-            content: "42".into(),
-        };
-        assert!(JsonAdapter::default().adapt(&source, 0).is_err());
+        assert!(adapt(&source("x.json", SourceFormat::Json, "42"), None).is_err());
+    }
+
+    #[test]
+    fn flatten_produces_dotted_paths() {
+        let content =
+            json::parse(r#"{"legs": [{"from": "PEK"}, {"from": "JFK"}], "code": "CA981"}"#)
+                .unwrap();
+        let flat = flatten(&content);
+        assert!(flat.contains(&("legs.0.from".to_string(), Value::from("PEK"))));
+        assert!(flat.contains(&("legs.1.from".to_string(), Value::from("JFK"))));
+        assert!(flat.contains(&("code".to_string(), Value::from("CA981"))));
+    }
+
+    #[test]
+    fn flat_scalar_arrays_stay_multivalued() {
+        let content = json::parse(r#"{"directors": ["Lana", "Lilly"]}"#).unwrap();
+        let flat = flatten(&content);
+        assert_eq!(flat.len(), 1);
+        assert_eq!(flat[0].0, "directors");
+        assert_eq!(flat[0].1.as_list().unwrap().len(), 2);
     }
 
     #[test]
     fn xml_adapter_groups_repeated_tags() {
-        let adapted = XmlAdapter::default().adapt(&xml_source(), 0).unwrap();
-        assert_eq!(adapted.records.len(), 2);
+        let adapted = adapt(&xml_source(), None).unwrap();
+        assert_eq!(adapted.records, 2);
         // The second book (entity "2" via its id attribute) has two
         // authors → a single multi-valued claim.
         let solaris_authors: Vec<&Claim> = adapted
@@ -886,31 +747,24 @@ mod tests {
 
     #[test]
     fn xml_adapter_uses_attribute_or_child_for_entity() {
-        // `title` is the entity tag here (first match in defaults is
-        // "name", absent; then "id" as XML attribute on book 2).
-        let adapted = XmlAdapter::default().adapt(&xml_source(), 0).unwrap();
-        let entities: Vec<&str> = adapted
-            .records
-            .iter()
-            .enumerate()
-            .filter_map(|(i, _)| adapted.claims.iter().find(|c| c.record_id == i as u64))
-            .map(|c| c.entity.as_str())
-            .collect();
-        // Book 1 has no name/id → falls to title "Dune".
-        assert!(entities.contains(&"Dune"));
-        // Book 2 has id="2" → entity "2".
-        assert!(entities.contains(&"2"));
+        // The entity tags are tried in order: "name" (absent), then "id"
+        // as attribute or child, then "title".
+        let adapted = adapt(&xml_source(), None).unwrap();
+        let mut entities: Vec<&str> = adapted.claims.iter().map(|c| c.entity.as_str()).collect();
+        entities.dedup();
+        // Book 1 has no name/id → falls to title "Dune"; book 2 has
+        // id="2" → entity "2".
+        assert_eq!(entities, ["Dune", "2"]);
     }
 
     #[test]
     fn kg_adapter_parses_triple_lines() {
-        let source = RawSource {
-            name: "dump.kg".into(),
-            domain: "movies".into(),
-            format: SourceFormat::Kg,
-            content: "# comment\nHeat|year|1995\nHeat|director|Mann\n\n".into(),
-        };
-        let adapted = KgAdapter.adapt(&source, 0).unwrap();
+        let dump = source(
+            "dump.kg",
+            SourceFormat::Kg,
+            "# comment\nHeat|year|1995\nHeat|director|Mann\n\n",
+        );
+        let adapted = adapt(&dump, None).unwrap();
         assert_eq!(adapted.claims.len(), 2);
         assert_eq!(adapted.claims[0].value, Value::Int(1995));
         assert_eq!(adapted.claims[1].value, Value::from("Mann"));
@@ -918,24 +772,18 @@ mod tests {
 
     #[test]
     fn kg_adapter_rejects_malformed_lines() {
-        let source = RawSource {
-            name: "bad.kg".into(),
-            domain: "d".into(),
-            format: SourceFormat::Kg,
-            content: "only|two".into(),
-        };
-        assert!(KgAdapter.adapt(&source, 0).is_err());
+        assert!(adapt(&source("bad.kg", SourceFormat::Kg, "only|two"), None).is_err());
     }
 
     #[test]
     fn kg_adapter_lenient_skips_bad_lines_with_positions() {
-        let source = RawSource {
-            name: "dump.kg".into(),
-            domain: "movies".into(),
-            format: SourceFormat::Kg,
-            content: "Heat|year|1995\nonly|two\nHeat|director|Mann\n".into(),
-        };
-        let (adapted, skipped) = KgAdapter.adapt_lenient(&source, 0);
+        let dump = source(
+            "dump.kg",
+            SourceFormat::Kg,
+            "Heat|year|1995\nonly|two\nHeat|director|Mann\n",
+        );
+        let mut skipped = Vec::new();
+        let adapted = adapt(&dump, Some(&mut skipped)).unwrap();
         assert_eq!(adapted.claims.len(), 2, "good lines must survive");
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].line, 2);
@@ -977,12 +825,9 @@ mod tests {
         let report = lenient.expect("lenient fusion never fails");
         let skipped: Vec<usize> = report.diagnostics.iter().map(|d| d.source_index).collect();
         assert_eq!(skipped, [0, 1]);
-        assert!(report.adapted[0].1.records.is_empty());
-        assert!(report.adapted[1].1.records.is_empty());
-        assert!(
-            !report.adapted[2].1.records.is_empty(),
-            "healthy source loads"
-        );
+        assert_eq!(report.adapted[0].1.records, 0);
+        assert_eq!(report.adapted[1].1.records, 0);
+        assert_ne!(report.adapted[2].1.records, 0, "healthy source loads");
     }
 
     #[test]
@@ -1000,8 +845,8 @@ mod tests {
         // and still fuses the rest.
         let report = fuse_sources_with(&sources, IngestMode::Lenient).unwrap();
         assert_eq!(report.adapted.len(), 2);
-        assert!(report.adapted[0].1.records.is_empty());
-        assert!(!report.adapted[1].1.records.is_empty());
+        assert_eq!(report.adapted[0].1.records, 0);
+        assert_ne!(report.adapted[1].1.records, 0);
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].source_index, 0);
         assert_eq!(report.diagnostics[0].source, "broken.csv");
@@ -1045,44 +890,34 @@ mod tests {
         for ((si, sa), (li, la)) in strict.iter().zip(report.adapted.iter()) {
             assert_eq!(si, li);
             assert_eq!(sa.claims, la.claims);
-            assert_eq!(sa.records.len(), la.records.len());
+            assert_eq!(sa.records, la.records);
         }
     }
 
     #[test]
     fn text_adapter_chunks_paragraphs() {
-        let source = RawSource {
-            name: "report.txt".into(),
-            domain: "flights".into(),
-            format: SourceFormat::Text,
-            content: format!(
+        // Two 600-character paragraphs do not fit one 800-character
+        // chunk; the short third paragraph joins the second.
+        let text = source(
+            "report.txt",
+            SourceFormat::Text,
+            &format!(
                 "{}\n\n{}\n\n{}",
-                "p1 ".repeat(100),
-                "p2 ".repeat(100),
+                "p1 ".repeat(200),
+                "p2 ".repeat(200),
                 "p3 short"
             ),
-        };
-        let adapter = TextAdapter {
-            max_chunk_chars: 350,
-        };
-        let adapted = adapter.adapt(&source, 0).unwrap();
-        assert!(adapted.text_chunks.len() >= 2);
-        assert!(adapted.claims.is_empty());
-        assert_eq!(adapted.records.len(), adapted.text_chunks.len());
-    }
-
-    #[test]
-    fn fuse_sources_numbers_records_globally() {
-        let sources = vec![csv_source(), json_source()];
-        let fused = fuse_sources(&sources).unwrap();
-        let all_ids: Vec<u64> = fused
+        );
+        let adapted = adapt(&text, None).unwrap();
+        assert_eq!(adapted.text_chunks.len(), 2);
+        assert!(adapted.text_chunks[0].starts_with("p1"));
+        assert!(adapted.text_chunks[1].ends_with("p3 short"));
+        assert!(adapted
+            .text_chunks
             .iter()
-            .flat_map(|(_, a)| a.records.iter().map(|r| r.id))
-            .collect();
-        let mut sorted = all_ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), all_ids.len(), "record ids must be unique");
+            .all(|c| c.len() <= MAX_CHUNK_CHARS));
+        assert!(adapted.claims.is_empty());
+        assert_eq!(adapted.records, adapted.text_chunks.len());
     }
 
     #[test]

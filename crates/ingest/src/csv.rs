@@ -1,95 +1,44 @@
 //! An RFC 4180 CSV reader with type sniffing.
 //!
-//! Supports quoted fields (embedded separators, quotes and newlines),
-//! CRLF / LF line endings, configurable separators, and an optional
-//! header row. Cell values are sniffed into the workspace [`Value`]
-//! model (int → float → bool → string).
+//! Supports quoted fields (embedded commas, quotes and newlines) and
+//! CRLF / LF line endings. The first row is the header; its names must
+//! be distinct. Unquoted whitespace around a field is trimmed. Cell
+//! values are sniffed into the workspace [`Value`] model (int → float →
+//! bool → string).
 
 use crate::error::ParseError;
 use multirag_kg::Value;
 
-/// Reader configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CsvOptions {
-    /// Field separator (default `,`).
-    pub separator: u8,
-    /// Whether the first row is a header (default true).
-    pub has_header: bool,
-    /// Whether to trim unquoted whitespace around fields (default true).
-    pub trim: bool,
-}
-
-impl Default for CsvOptions {
-    fn default() -> Self {
-        Self {
-            separator: b',',
-            has_header: true,
-            trim: true,
-        }
-    }
-}
-
 /// A parsed CSV table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
-    /// Column names; synthesized as `col0..colN` when there is no header.
+    /// Column names, from the header row.
     pub headers: Vec<String>,
     /// Row-major typed cells; every row has `headers.len()` cells.
     pub rows: Vec<Vec<Value>>,
 }
 
-impl Table {
-    /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.headers.iter().position(|h| h == name)
-    }
-
-    /// Cell accessor.
-    pub fn cell(&self, row: usize, column: usize) -> Option<&Value> {
-        self.rows.get(row).and_then(|r| r.get(column))
-    }
-
-    /// Column accessor by name.
-    pub fn column(&self, name: &str) -> Option<Vec<&Value>> {
-        let idx = self.column_index(name)?;
-        Some(self.rows.iter().map(|r| &r[idx]).collect())
-    }
-}
-
-/// Parses CSV text with default options.
+/// Parses CSV text whose first row is the header. A header name given
+/// twice is an error at its second occurrence, as is a row whose width
+/// differs from the header's.
 pub fn parse(input: &str) -> Result<Table, ParseError> {
-    parse_with(input, CsvOptions::default())
-}
-
-/// Parses CSV text with explicit options.
-pub fn parse_with(input: &str, options: CsvOptions) -> Result<Table, ParseError> {
-    let records = read_records(input, options)?;
-    let mut iter = records.into_iter();
-    let (headers, first_row) = if options.has_header {
-        match iter.next() {
-            Some(header_fields) => (
-                header_fields
-                    .into_iter()
-                    .map(|f| f.text)
-                    .collect::<Vec<_>>(),
-                None,
-            ),
-            None => (Vec::new(), None),
+    let mut records = read_records(input)?.into_iter();
+    let mut headers: Vec<String> = Vec::new();
+    for field in records.next().unwrap_or_default() {
+        if headers.contains(&field.text) {
+            return Err(ParseError::at(
+                "csv",
+                input,
+                field.offset,
+                format!("repeated header '{}'", field.text),
+            ));
         }
-    } else {
-        match iter.next() {
-            Some(fields) => {
-                let headers = (0..fields.len()).map(|i| format!("col{i}")).collect();
-                (headers, Some(fields))
-            }
-            None => (Vec::new(), None),
-        }
-    };
-
-    let mut rows = Vec::new();
+        headers.push(field.text);
+    }
     let width = headers.len();
-    let mut handle = |fields: Vec<Field>, input: &str| -> Result<(), ParseError> {
-        if width != 0 && fields.len() != width {
+    let mut rows = Vec::new();
+    for fields in records {
+        if fields.len() != width {
             return Err(ParseError::at(
                 "csv",
                 input,
@@ -97,14 +46,7 @@ pub fn parse_with(input: &str, options: CsvOptions) -> Result<Table, ParseError>
                 format!("expected {width} fields, found {}", fields.len()),
             ));
         }
-        rows.push(fields.into_iter().map(|f| sniff(&f)).collect());
-        Ok(())
-    };
-    if let Some(fields) = first_row {
-        handle(fields, input)?;
-    }
-    for fields in iter {
-        handle(fields, input)?;
+        rows.push(fields.into_iter().map(sniff).collect());
     }
     Ok(Table { headers, rows })
 }
@@ -203,7 +145,7 @@ struct Field {
     offset: usize,
 }
 
-fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, ParseError> {
+fn read_records(input: &str) -> Result<Vec<Vec<Field>>, ParseError> {
     let bytes = input.as_bytes();
     let mut records: Vec<Vec<Field>> = Vec::new();
     let mut record: Vec<Field> = Vec::new();
@@ -214,22 +156,19 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
     let mut in_quotes = false;
     let mut record_started = false;
 
-    let finish_field = |field: &mut String,
-                        quoted: &mut bool,
-                        offset: usize,
-                        record: &mut Vec<Field>,
-                        trim: bool| {
-        let mut text = std::mem::take(field);
-        if trim && !*quoted {
-            text = text.trim().to_string();
-        }
-        record.push(Field {
-            text,
-            quoted: *quoted,
-            offset,
-        });
-        *quoted = false;
-    };
+    let finish_field =
+        |field: &mut String, quoted: &mut bool, offset: usize, record: &mut Vec<Field>| {
+            let mut text = std::mem::take(field);
+            if !*quoted {
+                text = text.trim().to_string();
+            }
+            record.push(Field {
+                text,
+                quoted: *quoted,
+                offset,
+            });
+            *quoted = false;
+        };
 
     while pos < bytes.len() {
         let b = bytes[pos];
@@ -270,14 +209,8 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
                     "quote in the middle of an unquoted field",
                 ));
             }
-            _ if b == options.separator => {
-                finish_field(
-                    &mut field,
-                    &mut field_quoted,
-                    field_offset,
-                    &mut record,
-                    options.trim,
-                );
+            b',' => {
+                finish_field(&mut field, &mut field_quoted, field_offset, &mut record);
                 record_started = true;
                 pos += 1;
                 field_offset = pos;
@@ -285,13 +218,7 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
             b'\r' => {
                 // Treat CRLF as one terminator; a lone CR also ends the line.
                 if record_started || !field.is_empty() || !record.is_empty() {
-                    finish_field(
-                        &mut field,
-                        &mut field_quoted,
-                        field_offset,
-                        &mut record,
-                        options.trim,
-                    );
+                    finish_field(&mut field, &mut field_quoted, field_offset, &mut record);
                     records.push(std::mem::take(&mut record));
                     record_started = false;
                 }
@@ -303,13 +230,7 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
             }
             b'\n' => {
                 if record_started || !field.is_empty() || !record.is_empty() {
-                    finish_field(
-                        &mut field,
-                        &mut field_quoted,
-                        field_offset,
-                        &mut record,
-                        options.trim,
-                    );
+                    finish_field(&mut field, &mut field_quoted, field_offset, &mut record);
                     records.push(std::mem::take(&mut record));
                     record_started = false;
                 }
@@ -335,13 +256,7 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
         ));
     }
     if record_started || !field.is_empty() || !record.is_empty() {
-        finish_field(
-            &mut field,
-            &mut field_quoted,
-            field_offset,
-            &mut record,
-            options.trim,
-        );
+        finish_field(&mut field, &mut field_quoted, field_offset, &mut record);
         records.push(record);
     }
     Ok(records)
@@ -349,9 +264,9 @@ fn read_records(input: &str, options: CsvOptions) -> Result<Vec<Vec<Field>>, Par
 
 /// Sniffs a raw field into a typed [`Value`]. Quoted fields stay
 /// strings; unquoted ones try int, float, bool, then null-for-empty.
-fn sniff(field: &Field) -> Value {
+fn sniff(field: Field) -> Value {
     if field.quoted {
-        return Value::Str(field.text.clone());
+        return Value::Str(field.text);
     }
     let text = field.text.as_str();
     if text.is_empty() {
@@ -370,7 +285,7 @@ fn sniff(field: &Field) -> Value {
         "false" | "FALSE" | "False" => return Value::Bool(false),
         _ => {}
     }
-    Value::Str(text.to_string())
+    Value::Str(field.text)
 }
 
 #[cfg(test)]
@@ -382,8 +297,8 @@ mod tests {
         let table = parse("name,year\nInception,2010\nHeat,1995\n").unwrap();
         assert_eq!(table.headers, vec!["name", "year"]);
         assert_eq!(table.rows.len(), 2);
-        assert_eq!(table.cell(0, 0), Some(&Value::from("Inception")));
-        assert_eq!(table.cell(1, 1), Some(&Value::Int(1995)));
+        assert_eq!(table.rows[0][0], Value::from("Inception"));
+        assert_eq!(table.rows[1][1], Value::Int(1995));
     }
 
     #[test]
@@ -447,25 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn headerless_mode_synthesizes_names() {
-        let options = CsvOptions {
-            has_header: false,
-            ..CsvOptions::default()
-        };
-        let table = parse_with("1,2\n3,4\n", options).unwrap();
-        assert_eq!(table.headers, vec!["col0", "col1"]);
-        assert_eq!(table.rows.len(), 2);
-    }
-
-    #[test]
-    fn custom_separator() {
-        let options = CsvOptions {
-            separator: b';',
-            ..CsvOptions::default()
-        };
-        let table = parse_with("a;b\n1;2\n", options).unwrap();
-        assert_eq!(table.headers, vec!["a", "b"]);
-        assert_eq!(table.rows[0][1], Value::Int(2));
+    fn repeated_header_is_rejected_at_its_second_occurrence() {
+        let err = parse("id,a,b,\"a\"\n1,2,3,4\n").unwrap_err();
+        assert_eq!((err.line, err.column, err.offset), (1, 8, 7));
+        assert!(err.message.contains("repeated header 'a'"), "{err}");
     }
 
     #[test]
@@ -491,9 +391,10 @@ mod tests {
     #[test]
     fn column_lookup() {
         let table = parse("name,year\nHeat,1995\n").unwrap();
-        assert_eq!(table.column_index("year"), Some(1));
-        assert_eq!(table.column_index("nope"), None);
-        let years = table.column("year").unwrap();
+        let year = table.headers.iter().position(|h| h == "year");
+        assert_eq!(year, Some(1));
+        assert!(!table.headers.iter().any(|h| h == "nope"));
+        let years: Vec<&Value> = table.rows.iter().map(|r| &r[1]).collect();
         assert_eq!(years, vec![&Value::Int(1995)]);
         assert_eq!(table.headers.len(), 2);
     }

@@ -4,7 +4,7 @@
 //! strings with all escape sequences including `\uXXXX` surrogate
 //! pairs, numbers (integer / fraction / exponent), `true` / `false` /
 //! `null`. Object key order is preserved (insertion order) because the
-//! JSON-LD layer round-trips documents.
+//! adapters emit a record's claims in key order.
 
 use crate::error::{ParseError, MAX_NESTING};
 use multirag_kg::Value;

@@ -4,39 +4,31 @@
 //!
 //! Multi-source data substrate for MultiRAG (Definition 1 / Eq. 2 of the
 //! paper). Real deployments pull data from heterogeneous feeds; this
-//! crate implements the full path from raw bytes to normalized records:
+//! crate implements the full path from raw bytes to claims:
 //!
 //! * [`json`] — a from-scratch recursive-descent JSON parser producing
 //!   [`json::JsonValue`] trees (handles escapes, `\uXXXX`, nested
 //!   containers, numbers).
-//! * [`csv`] — an RFC 4180 CSV reader (quotes, embedded separators and
+//! * [`csv`] — an RFC 4180 CSV reader (quotes, embedded commas and
 //!   newlines) producing typed [`csv::Table`]s.
 //! * [`xml`] — a small well-formed-XML parser (elements, attributes,
 //!   text, comments, CDATA, self-closing tags) producing
 //!   [`xml::XmlElement`] trees.
-//! * [`jsonld`] — JSON-LD normalization: every parsed artifact becomes a
-//!   [`jsonld::NormalizedRecord`] `{id, domain, name, jsc, meta,
-//!   cols_index}` exactly as Definition 1 prescribes.
-//! * [`dsm`] — the Decomposition Storage Model column store used for
-//!   structured data: per-attribute columns plus value→row indexes so
-//!   consistency checks are column scans, not row scans.
 //! * [`adapter`] — the per-format adapters `Ada_stru`, `Ada_semi-s`,
-//!   `Ada_unstru` and the fusion union of Eq. 2, emitting uniform
-//!   [`adapter::Claim`]s ready for knowledge-graph loading.
+//!   `Ada_unstru` and the fusion union of Eq. 2. Each adapter turns its
+//!   parsed records straight into uniform [`adapter::Claim`]s ready for
+//!   knowledge-graph loading and counts the records it read; the
+//!   JSON-LD envelope of Definition 1 is not built.
 
 pub mod adapter;
 pub mod csv;
-pub mod dsm;
 pub mod error;
 pub mod json;
-pub mod jsonld;
 pub mod xml;
 
 pub use adapter::{
-    fuse_sources, fuse_sources_with, load_into_graph, Adapter, Claim, FusionReport,
-    IngestDiagnostic, IngestMode, RawSource, SourceFormat,
+    fuse_sources, fuse_sources_with, load_into_graph, Claim, FusionReport, IngestDiagnostic,
+    IngestMode, RawSource, SourceFormat,
 };
-pub use dsm::ColumnStore;
 pub use error::{IngestError, ParseError};
 pub use json::JsonValue;
-pub use jsonld::NormalizedRecord;

@@ -1,8 +1,8 @@
 //! Property-based round-trip tests for the ingest parsers.
 
+use multirag_ingest::csv;
 use multirag_ingest::json::{self, JsonValue};
 use multirag_ingest::xml::{self, XmlElement, XmlNode};
-use multirag_ingest::{csv, ColumnStore};
 use multirag_kg::Value;
 use proptest::prelude::*;
 
@@ -189,38 +189,5 @@ proptest! {
     #[test]
     fn xml_parser_total(input in "\\PC{0,64}") {
         let _ = xml::parse(&input);
-    }
-}
-
-// -------------------------------------------------------------------
-// DSM
-// -------------------------------------------------------------------
-
-proptest! {
-    /// The inverted index always agrees with a full column scan.
-    #[test]
-    fn dsm_index_matches_scan(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-3i64..3, 3),
-            0..20,
-        ),
-    ) {
-        let mut store = ColumnStore::new(&["a", "b", "c"]);
-        for row in &rows {
-            store.push_row(row.iter().map(|&v| Value::Int(v)).collect());
-        }
-        for needle in -3i64..3 {
-            let needle = Value::Int(needle);
-            for (col_idx, name) in ["a", "b", "c"].iter().enumerate() {
-                let via_index = store.column(name).unwrap().rows_with(&needle).to_vec();
-                let via_scan: Vec<u32> = rows
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, row)| Value::Int(row[col_idx]) == needle)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                prop_assert_eq!(via_index, via_scan);
-            }
-        }
     }
 }

@@ -5,20 +5,10 @@ use crate::text::tokenize;
 use crate::topk::top_k;
 use multirag_kg::FxHashMap;
 
-/// BM25 hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (typical 1.2–2.0).
-    pub k1: f64,
-    /// Length normalization strength (0 = none, 1 = full).
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Self { k1: 1.2, b: 0.75 }
-    }
-}
+/// Term-frequency saturation (typical 1.2–2.0).
+const K1: f64 = 1.2;
+/// Length normalization strength (0 = none, 1 = full).
+const B: f64 = 0.75;
 
 /// A BM25 retrieval index.
 ///
@@ -34,11 +24,10 @@ impl Default for Bm25Params {
 #[derive(Debug, Default, Clone)]
 pub struct Bm25Index {
     inverted: InvertedIndex,
-    params: Bm25Params,
 }
 
 impl Bm25Index {
-    /// Creates an empty index with default parameters.
+    /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
@@ -79,9 +68,8 @@ impl Bm25Index {
             for posting in self.inverted.postings_by_id(term_id) {
                 let tf = f64::from(posting.tf);
                 let len = f64::from(self.inverted.doc_length(posting.doc));
-                let denom =
-                    tf + self.params.k1 * (1.0 - self.params.b + self.params.b * len / avg_len);
-                let contribution = idf * tf * (self.params.k1 + 1.0) / denom;
+                let denom = tf + K1 * (1.0 - B + B * len / avg_len);
+                let contribution = idf * tf * (K1 + 1.0) / denom;
                 *scores.entry(posting.doc).or_insert(0.0) += contribution;
             }
         }
@@ -153,21 +141,6 @@ mod tests {
         index.add_document(&format!("target {}", "filler ".repeat(60)));
         let results = index.search("target", 2);
         assert_eq!(results[0].0, DocId(0), "short doc wins at equal tf");
-    }
-
-    #[test]
-    fn b_zero_disables_length_normalization() {
-        let mut index = Bm25Index {
-            inverted: InvertedIndex::new(),
-            params: Bm25Params { k1: 1.2, b: 0.0 },
-        };
-        index.add_document("target alpha beta");
-        index.add_document(&format!("target {}", "filler ".repeat(60)));
-        let results = index.search("target", 2);
-        assert!(
-            (results[0].1 - results[1].1).abs() < 1e-9,
-            "with b=0 both docs score identically"
-        );
     }
 
     #[test]

@@ -57,15 +57,16 @@ fn main() {
     ];
 
     // -----------------------------------------------------------
-    // 2. Ingest: per-format adapters → JSON-LD records → claims →
-    //    provenance-carrying knowledge graph (Eq. 2 fusion).
+    // 2. Ingest: per-format adapters → claims → provenance-carrying
+    //    knowledge graph (Eq. 2 fusion). Each adapter counts the
+    //    records it read.
     // -----------------------------------------------------------
     let fused = fuse_sources(&sources).expect("all feeds parse");
     for (i, adapted) in &fused {
         println!(
             "{}: {} records, {} claims, {} text chunks",
             sources[*i].name,
-            adapted.records.len(),
+            adapted.records,
             adapted.claims.len(),
             adapted.text_chunks.len()
         );

@@ -291,6 +291,17 @@ mod tests {
     }
 
     #[test]
+    fn ingest_rejects_repeated_csv_header() {
+        let dup = write_temp("dup.csv", "a,a\n1,2\n");
+        let result = run(&["ingest".into(), "--domain".into(), "d".into(), dup]);
+        let message = result.expect_err("a repeated header is a parse error").0;
+        assert!(
+            message.contains("line 1, column 3 (offset 2): repeated header 'a'"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn query_reports_parse_failures() {
         let dump = write_temp("empty.kg", "#multirag-kg v1\n");
         let result = run(&["query".into(), dump, "tell me a joke".into()]);

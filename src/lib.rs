@@ -10,8 +10,8 @@
 //! depend on a single crate:
 //!
 //! * [`kg`] — knowledge-graph substrate (triple store, line graph).
-//! * [`ingest`] — multi-source adapters (CSV / JSON / XML / JSON-LD, DSM
-//!   columnar storage).
+//! * [`ingest`] — multi-source parsers and per-format adapters (CSV /
+//!   JSON / XML / KG / text) from raw bytes to claims.
 //! * [`llmsim`] — deterministic simulated LLM with an explicit
 //!   hallucination model.
 //! * [`retrieval`] — chunking, TF-IDF / BM25, inverted index.
